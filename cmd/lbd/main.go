@@ -344,13 +344,7 @@ func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol wor
 	fmt.Printf("\nlive measurement (%d jobs measured, %v wall, %.0f jobs/s):\n",
 		s.Jobs, elapsed.Round(time.Millisecond), float64(s.Completed)/elapsed.Seconds())
 	fmt.Printf("  mean delay   %.4f ± %.4f service times (wait %.4f)\n", s.MeanDelay, s.HalfWidth, s.MeanWait)
-	clip := ""
-	if s.Overflow > 0 {
-		// Only a histogram-backed recorder can clip; the sketch has no
-		// ceiling. Flag it rather than print a wrong-but-plausible tail.
-		clip = fmt.Sprintf("   (CLIPPED: %d sojourns beyond estimator range; p99/p999 are lower bounds)", s.Overflow)
-	}
-	fmt.Printf("  p50/p95/p99/p999  %.3f / %.3f / %.3f / %.3f%s\n", s.P50, s.P95, s.P99, s.P999, clip)
+	fmt.Printf("  p50/p95/p99/p999  %.3f / %.3f / %.3f / %.3f\n", s.P50, s.P95, s.P99, s.P999)
 	fmt.Printf("  max queue %d, rejected %d, realized service %.3f× nominal\n", s.MaxQueue, s.Rejected, s.MeanService)
 	if tr := farm.Trace(); tr != nil {
 		fmt.Printf("  flight recorder: %d of %d jobs traced (1/%d), %d spans in ring, %d dropped, %d aborted\n",

@@ -48,7 +48,7 @@
 // splits a measured-job budget across R independently seeded replications
 // (seeds derived from the master seed via a PCG stream) run concurrently
 // and merged into a single Result with pooled mean, variance, confidence
-// interval, and quantile histogram. R=1 — the default — is bit-identical
+// interval, and quantile sketch. R=1 — the default — is bit-identical
 // to the legacy serial stream; larger R is statistically equivalent.
 // Underneath, the dense matmul that dominates the QBD logarithmic
 // reduction is cache-blocked and allocation-free (mat.Dense.MulTo with
@@ -105,10 +105,10 @@
 // policy — are simulation-only and validated by ordering properties
 // (JSQ ≤ SQ(2) ≤ random at equal load; LWL ≤ JSQ under heavy-tailed
 // service, where queue length is a poor proxy for work) and
-// seed-determinism tests. The default configuration costs nothing for
-// the pluggability: it resolves to the original concrete event loop (see
-// internal/sim), and both loops are held to the same bit-identity
-// goldens.
+// seed-determinism tests. The default configuration pays little for the
+// pluggability: every built-in law and policy resolves to concrete code
+// stenciled into the one event loop (see "Simulator performance"), which
+// is held to the pre-workload bit-identity goldens.
 //
 // # From model to machine
 //
@@ -147,9 +147,10 @@
 // server schedules completions on its own work clock (deadlines chain
 // from max(arrival, previous deadline), the ideal FIFO schedule), so
 // scheduling noise delays only the observation of each completion and
-// never inflates the queueing dynamics themselves. Dispatch benchmarks
-// for the hot path live in internal/lb/bench_test.go; scripts/bench_lb.sh
-// records them to BENCH_lb.json.
+// never inflates the queueing dynamics themselves. Micro-benchmarks for
+// the hot path live in internal/lb/bench_test.go; the repository's
+// benchmark (bash bench/run.sh, workload dispatch_direct) reports the
+// dispatch cost per policy as lb.dispatch_ns.*.
 //
 // # Dispatch at scale
 //
@@ -190,9 +191,9 @@
 // arrivals per sleeper wake-up, amortizing pacing costs under burst.
 // BenchmarkDispatchContended/D={1,2,4,8} tracks the shared-state cost of
 // fan-in (on a single-core host ns/op holding flat as D grows is the
-// no-collapse ceiling; scaling with D needs cores), and the N=10000 rows
-// in BENCH_lb.json record the sub-µs indexed picks two decades past where
-// the scan gave out. When a drained burst lands several jobs on the same
+// no-collapse ceiling; scaling with D needs cores), and
+// BenchmarkPick's N=10000 rows show sub-µs indexed picks two decades past
+// where the scan gave out. When a drained burst lands several jobs on the same
 // server, the generator coalesces them into a single channel send per
 // server per wake-up (pure transport — D=1 runs stay draw-identical to
 // the unbatched stream, pinned by test).
@@ -201,41 +202,58 @@
 //
 // The discrete-event simulator is the cost floor under every sweep the
 // analytic side cannot reach, so its event core is engineered and
-// benchmarked like the live dispatch path. Three loops exist, all
-// producing identical draws for identical wirings (pinned by equivalence
-// tests and the pre-workload bit-identity goldens): a hand-specialized
-// loop for the paper's default wiring (Poisson × exponential × SQ(d),
-// any speeds), a generics-stenciled typed loop covering every built-in
-// arrival law × service law × policy with concrete samplers and
-// pickers, and the interface loop that still serves exotic user-supplied
-// workload implementations. Draws come from internal/frand, a concrete
-// PCG re-derivation of math/rand/v2's exact streams (bit-identity pinned
-// in that package), so the hot loops pay no rand.Source dispatch.
+// benchmarked like the live dispatch path. There is one event loop
+// (internal/sim/loop.go, runTyped), generics-stenciled per (arrival law,
+// service law) pair so every per-event draw is a direct call into a
+// concrete sampler, with the policy's picker held as an interface — one
+// indirect call per arrival. Three event sources race on model time: the
+// churn schedule (a +Inf sentinel when there is none, so churn-free runs
+// pay one predictable compare per event), the next arrival, and the
+// earliest completion. A user-supplied implementation of a workload
+// interface is one more instantiation of the same loop body behind a
+// small adapter, not a second loop; TestTypedLoopMatchesInterfaceLoop
+// pins the concrete samplers and pickers to the adapter instantiation
+// draw for draw, and the pre-workload and churn goldens pin the loop
+// itself. Draws come from internal/frand, a concrete PCG re-derivation of
+// math/rand/v2's exact streams (bit-identity pinned in that package), so
+// the loop pays no rand.Source dispatch.
 //
-// The completion tracker — "which server finishes next" — was rebuilt
-// from a container/heap binary heap (three interface calls per sift
-// level, ~half of all event time at N ≥ 250) into measured concrete
-// contenders: a flat scan (wins at N ≤ 8), a 4-ary indexed min-heap and
-// a 4-ary (key, id) tournament tree (both branch-free over the integer
-// bit patterns of the completion times), and a calendar queue that
-// exploits the event loop's monotone re-key pattern for amortized O(1)
-// updates (wins at N ≥ 512 under light-tailed service; the tournament
-// tree takes the mid range and heavy-tailed laws, whose deep keys defeat
-// the calendar's window sweep). BenchmarkTracker records the crossover;
-// internal/sim/tracker.go documents why each loser lost.
+// Until PR 13 the paper's own wiring (Poisson × exponential × SQ(d)) was
+// peeled onto a second, hand-written copy of the loop with the three
+// draws and an unrolled d = 2 pick inlined, and churn and user-supplied
+// wirings ran a third, interface-dispatched copy; lockstep tests held the
+// three together. Measured on bench/run.sh's sim_paper cells (six
+// alternating runs a side, seed 1) the peel bought 6.5–9 % ns/job where
+// d = 2 (N = 10 … 10⁴) and lost 4–8 % where d = 10 and d = 50: 2.4 % of
+// the workload's jobs per second, against a median cell 3.7 % and a
+// slowest cell 8 % faster without it — which did not pay for a duplicate
+// of the loop body that every change had to be made in twice. Churn runs,
+// moved off the interface copy, got faster (sim.ns_per_job.n10_churn
+// 138 → 116); the other sim_pluggable cells did not move.
 //
-// scripts/bench_sim.sh runs BenchmarkSimJobs — {fast, fast-hist,
-// pluggable-default, jsq-indexed, lwl-work-aware} × N ∈ {10, 250, 1000,
-// 10000} at ρ = 0.9 (fast vs fast-hist is the sketch-vs-histogram tail
-// estimator axis) — and writes BENCH_sim.json at the repository root:
-// one record per configuration with ns/job, events/sec (one measured
-// job = one arrival plus one departure event, so events/sec =
-// 2e9/ns_per_op), allocation counts, and the measurement stream's
-// state_bytes footprint, with the pre-overhaul baseline embedded under
-// "baseline" so the trajectory travels with the file. The steady-state
-// event paths are allocation-free (guarded by TestAllocFreeEventPath in
-// CI); after the overhaul the loop is bound by the irreducible parts —
-// the bit-pinned rng draws, the statistics accumulators, and one
+// The completion tracker — "which server finishes next" — is concrete
+// and mode-selected by farm size: a flat scan at N ≤ 8, a 4-ary
+// (key, id) tournament tree, branch-free over the integer bit patterns
+// of the completion times, in the mid range and under heavy-tailed laws
+// (whose deep keys defeat the calendar's window sweep), and a calendar
+// queue that exploits the event loop's monotone re-key pattern for
+// amortized O(1) updates at N ≥ 512 under light-tailed service. The mode
+// never changes a draw. BenchmarkTracker is the crossover gauge, with the
+// retired container/heap binary heap (three interface calls per sift
+// level, ~half of all event time at N ≥ 250) kept in tracker_test.go as
+// the reference oracle.
+//
+// bash bench/run.sh is the measurement: workload sim_paper runs the
+// paper's wiring from spec strings through sim.Run on the Fig. 9 grid up
+// to N = 10⁴, sim_pluggable the JSQ/LWL/JIQ, heavy-tailed, round-robin
+// and churn cells, each reporting jobs per second end to end,
+// sim.ns_per_job.<cell> per cell, and sim.golden_mismatch_cells — the
+// bit-identity check against bench/goldens. BenchmarkSimJobs ({fast,
+// jsq-indexed, lwl-work-aware} × N ∈ {10, 250, 1000, 10000} at ρ = 0.9)
+// is the micro-benchmark for working on the loop. The steady-state event
+// path is allocation-free, churn-armed runs included (guarded by
+// TestAllocFreeEventPath in CI); the loop is bound by the irreducible
+// parts — the bit-pinned rng draws, the statistics accumulators, and one
 // genuinely unpredictable arrival-vs-departure branch per event — with
 // the tracker down to ~15% of event time.
 //
@@ -243,15 +261,14 @@
 //
 // Every delay number the repository reports — simulator quantiles, live
 // Summary percentiles, Prometheus histograms — flows through one
-// accumulator, internal/stats.Stream, and since PR 7 its default tail
-// estimator is a mergeable DDSketch-style quantile sketch
-// (internal/stats/sketch.go) rather than a fixed-range histogram. The
+// accumulator, internal/stats.Stream, whose tail estimator is a
+// mergeable DDSketch-style quantile sketch (internal/stats/sketch.go).
+// The
 // sketch holds log-spaced buckets at relative accuracy α = 1%
 // (γ = (1+α)/(1−α); bucket i covers (γ^(i−1), γ^i]), so any quantile of
 // any positive-valued stream — p50 through p999, at any N and any run
 // length — comes back within α of the exact order statistic, in ~9 KB
-// of state instead of the histogram's 200 KB, with no range to
-// configure and no silent clipping. A bounded bucket budget (1024
+// of state, with no range to configure and no silent clipping. A bounded bucket budget (1024
 // log-spaced buckets ≈ 8 decades of dynamic range) caps worst-case
 // state by collapsing the lowest buckets toward a canonical cutoff;
 // collapsed-region quantiles degrade to upper bounds (Clamped() reports
@@ -273,19 +290,8 @@
 // cumulative lbd_delay_service_times Prometheus histogram with
 // log-spaced le buckets.
 //
-// The fixed histogram remains behind stats.NewStream and
-// sim.Options.Tail = TailHistogram — the pre-PR-7 bit-identity goldens
-// pin it — and PR 7 also fixed its long-hidden overflow bugs: Add and
-// Tail converted to int before range-checking, so observations beyond
-// ~1.8e17·width overflowed the conversion and panicked (or corrupted a
-// bucket) instead of counting as overflow. Both paths now float-guard
-// first; Histogram.Overflow()/Stream.Overflow() expose the clipped
-// count, sim.Result and lb.Summary surface it, and lbd's load generator
-// flags a clipped p99 as a lower bound. The sketch path never clips —
-// its Overflow() is identically zero.
-//
-// Both estimators ride the same zero-allocation contract as the event
-// loops: Sketch.Add/Merge and the batched Stream.AddBatch are
+// The sketch rides the same zero-allocation contract as the event loop:
+// Sketch.Add/Merge and the batched Stream.AddBatch are
 // //finitelb:hotpath-annotated, finitelint-clean, and covered by
 // TestAllocFreeEventPath.
 //
@@ -303,7 +309,7 @@
 // not coin flips), so two runs at the same seed trace the same jobs and
 // a sim trace is reproducible evidence, not an anecdote.
 //
-// Both simulator event loops and the live dispatch path carry the hooks.
+// The simulator's event loop and the live dispatch path carry the hooks.
 // The contract is the same on both sides: trace off means bit-identical
 // draws and 0 allocs/event (the sim goldens and
 // TestAllocFreeEventPathTraced pin it; the recorder itself is
@@ -369,7 +375,8 @@
 //     same event kinds on the simulator's virtual clock, so any churn
 //     scenario is seed-reproducible and cheap to sweep. A crash-at-zero
 //     schedule on (N, ρ) is pinned to agree with a direct
-//     (N−k, ρ·N/(N−k)) run, and a never-firing schedule stays
+//     (N−k, ρ·N/(N−k)) run, full churn runs are pinned bit for bit
+//     (TestChurnGoldens), and a never-firing schedule stays
 //     bit-identical to the churn-free goldens at 0 allocs/event.
 //   - Fault schedules (internal/workload, internal/chaos): one compact
 //     grammar — "crash@200,slow@800@s=2@f=3,restore@2000" — parses to

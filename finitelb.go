@@ -199,11 +199,6 @@ type SimResult struct {
 	// Sojourn-time quantiles, in service times (sketch-estimated within
 	// 1% relative error).
 	P50, P95, P99 float64
-
-	// Overflow counts observations the tail estimator could not resolve;
-	// always 0 under the default sketch estimator, which has no range
-	// ceiling.
-	Overflow int64
 }
 
 // Simulate runs the discrete-event simulator. With zero-valued workload
@@ -245,7 +240,6 @@ func (s *System) Simulate(opts SimOptions) (SimResult, error) {
 		P50:       res.P50,
 		P95:       res.P95,
 		P99:       res.P99,
-		Overflow:  res.Overflow,
 	}, nil
 }
 

@@ -12,8 +12,10 @@ import (
 	"finitelb/internal/workload"
 )
 
-// Dispatch-hot-path benchmarks, the feed for BENCH_lb.json (see
-// scripts/bench_lb.sh). Two altitudes:
+// Dispatch-hot-path micro-benchmarks, for measuring while working on the
+// dispatch path; the repository's benchmark is `bash bench/run.sh`
+// (workload dispatch_direct, per-layer metrics lb.dispatch_ns.*). Two
+// altitudes:
 //
 //   - BenchmarkPick isolates the routing decision itself — the policy's
 //     sample over the sharded atomic table — which is what must stay O(d)
@@ -88,10 +90,9 @@ func BenchmarkDispatch(b *testing.B) {
 						runtime.Gosched()
 					}
 				}
-				// Recorder accumulator footprint, the memory column of
-				// BENCH_lb.json: per-server sketch shards at N ≤ 1024,
-				// O(KB) each (the 200 KB histogram shards of the ~2 GB
-				// incident would read 5e6+ B even at the smallest N here).
+				// Recorder accumulator footprint (bench/run.sh reports it
+				// as lb.recorder_state_bytes): per-server sketch shards at
+				// N ≤ 1024, O(KB) each.
 				b.ReportMetric(float64(lb.rec.StateBytes()), "state_bytes")
 			})
 		}

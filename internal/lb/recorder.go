@@ -146,14 +146,8 @@ type Summary struct {
 	MaxQueue  int     // largest queue length reserved by a dispatch
 
 	// Sojourn quantiles, in mean service times (sketch-estimated within
-	// 1% relative error; P999 is the reason the sketch replaced the
-	// fixed histogram, which clipped everything past 500 service times).
+	// 1% relative error, with no range ceiling).
 	P50, P95, P99, P999 float64
-
-	// Overflow counts observations the tail estimator could not resolve.
-	// Always 0 with the sketch recorder; retained so callers (cmd/lbd)
-	// can flag clipped quantiles if a histogram recorder ever returns.
-	Overflow int64
 
 	// MeanService is the realized mean service duration in units of the
 	// configured one — the live system's fidelity gauge. ≈1 when the
@@ -195,7 +189,6 @@ func (r *Recorder) Snapshot() Summary {
 		Completed:   r.completed.Load(),
 		MaxQueue:    int(r.maxQueue.Load()),
 		MeanService: service.Mean(),
-		Overflow:    merged.Overflow(),
 		Outcomes:    r.Outcomes(),
 	}
 	if merged.N() > 0 {

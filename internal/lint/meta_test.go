@@ -26,8 +26,10 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 	internalDir := filepath.Dir(filepath.Dir(self)) // .../internal
 
 	required := map[string][]string{
-		// The measured event loops themselves.
-		"sim/loop.go": {"runTyped", "runDefault", "flush", "workAt", "noteWork"},
+		// The measured event loop itself, and the degraded-mode picks its
+		// churn-armed run routes through.
+		"sim/loop.go":  {"runTyped", "flush", "serviceTime", "workAt", "noteLen", "noteWork"},
+		"sim/churn.go": {"pick", "pickSQDLive"},
 		// The per-departure accumulators the loops flush into: the batched
 		// stream entry point and the quantile sketch behind it (Add per
 		// observation, addCount/collapse its internals, Merge on the
@@ -39,7 +41,7 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		// put allocations on some policy's event path).
 		"sim/pick.go": {"pick"},
 		// Completion trackers: the mode-selected implementations.
-		"sim/tracker.go":  {"min", "update", "up", "down", "min4"},
+		"sim/tracker.go":  {"min", "update", "min4"},
 		"sim/calendar.go": {"min", "update", "bucket", "recompute"},
 		// The min-index trees behind jsq-indexed and lwl-work-aware.
 		"minindex/minindex.go": {"Update", "Argmin", "combine"},
@@ -80,7 +82,7 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 }
 
 // TestHotPathCoversEveryPicker closes the gap the name-based table above
-// leaves for methods: all eight pick methods share the name "pick", so
+// leaves for methods: all the pick methods share the name "pick", so
 // this test counts the annotated ones in sim/pick.go and requires every
 // pick method in the file to be annotated.
 func TestHotPathCoversEveryPicker(t *testing.T) {

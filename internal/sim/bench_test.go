@@ -11,38 +11,24 @@ import (
 	"finitelb/internal/workload"
 )
 
-// Event-core benchmarks, the feed for BENCH_sim.json (see
-// scripts/bench_sim.sh). Each op is one measured job — one arrival event
-// plus one departure event — so events/sec is 2e9/ns_per_op. The four
-// configurations cover the loops the ROADMAP's open sweeps actually pay
-// for:
+// Event-core micro-benchmarks, for measuring while working on the loop;
+// the repository's benchmark is `bash bench/run.sh` (workloads sim_paper
+// and sim_pluggable, per-cell metrics sim.ns_per_job.*). Each op is one
+// measured job — one arrival event plus one departure event — so
+// events/sec is 2e9/ns_per_op. Three configurations:
 //
-//   - fast: the default wiring (Poisson/exponential/SQ(2)), which
-//     resolves onto the hand-specialized loop — sketch tail estimator,
-//     the default;
-//   - fast-hist: the same wiring on the legacy fixed-width histogram
-//     estimator, the sketch-vs-histogram cost axis (math.Log per
-//     departure vs one FDIV, 8 KB vs 200 KB of accumulator state);
-//   - pluggable-default: the same physical system configured through the
-//     pluggable machinery with an explicit unit-speed vector — the axis
-//     that historically forced the interface loop, kept so the
-//     before/after trajectory in BENCH_sim.json lines up;
+//   - fast: the default wiring (Poisson/exponential/SQ(2));
 //   - jsq-indexed: JSQ through the minindex tree at N ≥ 64 (scan below),
 //     the large-N full-information policy;
 //   - lwl-work-aware: LWL with per-job work tracking and heavy-tailed
 //     service, the most bookkeeping-intensive path.
 var benchConfigs = []struct {
-	name           string
-	explicitSpeeds bool
-	opts           func() Options
+	name string
+	opts func() Options
 }{
-	{"fast", false, func() Options { return Options{} }},
-	{"fast-hist", false, func() Options { return Options{Tail: TailHistogram} }},
-	{"pluggable-default", true, func() Options {
-		return Options{Arrival: workload.Poisson{}, Service: workload.Exponential{}}
-	}},
-	{"jsq-indexed", false, func() Options { return Options{Policy: workload.JSQ{}} }},
-	{"lwl-work-aware", false, func() Options {
+	{"fast", func() Options { return Options{} }},
+	{"jsq-indexed", func() Options { return Options{Policy: workload.JSQ{}} }},
+	{"lwl-work-aware", func() Options {
 		pareto, err := workload.NewBoundedPareto(1.5, 1000)
 		if err != nil {
 			panic(err)
@@ -63,31 +49,17 @@ func BenchmarkSimJobs(b *testing.B) {
 				opts.Warmup = 1 // skip the warmup default of Jobs/10
 				opts.Seed = 1
 				opts.setDefaults()
-				if bc.explicitSpeeds {
-					// Historically this forced the wiring off the concrete
-					// fast path onto the interface loop; both now resolve to
-					// the same typed loop, and the axis is kept so the
-					// before/after trajectory in BENCH_sim.json lines up.
-					opts.Speeds = make([]float64, n)
-					for i := range opts.Speeds {
-						opts.Speeds[i] = 1
-					}
-				}
 				w, err := resolve(p, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				// Construct the runner — server rings, dispatch trees, and
 				// the measurement stream — outside the timed region, so B/op
-				// measures the event path itself. The old shape timed
-				// runStream whole; at N=10⁴ the ~1 MB of setup divided by
-				// ~2M iterations surfaced as a phantom 1–2 B/op that looked
-				// exactly like the PR-5 accumulator-heap incident.
-				res := newSimStream(opts.BatchSize, opts.Tail)
+				// measures the event path itself: timed whole, the ~1 MB of
+				// setup at N=10⁴ divided by ~2M iterations surfaces as a
+				// phantom 1–2 B/op.
+				res := newSimStream(opts.BatchSize)
 				tr := newTypedRunner(p, w, opts.Warmup, res, opts.Seed)
-				if tr == nil {
-					b.Fatal("wiring did not resolve onto the typed loop")
-				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				tr.run(opts.Jobs)
@@ -116,11 +88,8 @@ func BenchmarkSimJobsTraced(b *testing.B) {
 				b.Fatal(err)
 			}
 			rec := trace.New(trace.Config{Sample: every, Cap: 4096, Seed: 1, Scale: 1})
-			res := newSimStream(opts.BatchSize, opts.Tail)
+			res := newSimStream(opts.BatchSize)
 			tr := newTypedRunner(p, w, opts.Warmup, res, opts.Seed)
-			if tr == nil {
-				b.Fatal("wiring did not resolve onto the typed loop")
-			}
 			tr.st.tr = newSimTracer(rec, p.N)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -129,13 +98,13 @@ func BenchmarkSimJobsTraced(b *testing.B) {
 	}
 }
 
-// trackerLike generalizes the three completion-tracker contenders for the
-// crossover benchmark: the shipped concrete tracker (linear or 4-ary by
-// size), a forced variant of each mode, the retired container/heap binary
-// heap (kept in tracker_test.go as the reference oracle), and a
-// minindex.Seq adapter, which must pay a full argmin descent per min to
-// *name* the completing server — the structural reason it loses to the
-// heap as an event tracker despite winning as a dispatch index.
+// trackerLike generalizes the completion trackers for the crossover
+// benchmark: each mode of the shipped tracker forced at every size, the
+// retired container/heap binary heap (kept in tracker_test.go as the
+// reference oracle), and a minindex.Seq adapter, which must pay a full
+// argmin descent per min to *name* the completing server — the
+// structural reason it loses as an event tracker despite winning as a
+// dispatch index.
 type trackerLike interface {
 	update(id int, t float64)
 	min() (float64, int)
@@ -152,8 +121,7 @@ func (s *seqTrackerBench) min() (float64, int)      { return s.tree.Min(), s.tre
 // BenchmarkTracker isolates the completion tracker: per-op one update of a
 // random server's completion time plus one min query, the exact per-event
 // footprint of the event loop. It is the crossover gauge for linearCutoff
-// and the record of why the 4-ary heap replaced both the container/heap
-// binary heap and a Seq-tree alternative.
+// and calCutoff.
 func BenchmarkTracker(b *testing.B) {
 	impls := []struct {
 		name string
@@ -172,7 +140,6 @@ func BenchmarkTracker(b *testing.B) {
 			return t
 		}},
 		{"tour", func(n int) trackerLike { return newTourTracker(n) }},
-		{"heap4", func(n int) trackerLike { return newHeapTracker4(n) }},
 		{"heap2-container", func(n int) trackerLike { return newRefHeapTracker(n) }},
 		{"seq-tree", func(n int) trackerLike {
 			return &seqTrackerBench{tree: minindex.NewSeq(n), rng: rand.New(rand.NewPCG(9, 9))}

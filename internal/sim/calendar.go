@@ -9,11 +9,13 @@ import (
 // that won the production slot at large N (see BenchmarkTracker and
 // doc.go "Simulator performance").
 //
-// It exploits an invariant both event loops honour: the tracker is only
+// It exploits an invariant the event loop honours: the tracker is only
 // ever asked to (a) re-key the *current minimum* — a departure moves the
 // completing server to a later completion or to idle — or (b) give an
 // idle server its first completion. No decrease-key of interior
-// elements, no deletion of non-minimal elements. That makes the tracker
+// elements, no deletion of non-minimal elements (a churn crash is the
+// one exception: rare, and handled exactly — only the amortized cost
+// argument leans on the pattern). That makes the tracker
 // a monotone priority queue, the regime where Brown's calendar queue
 // does O(1) amortized work per event against the Θ(log N) sift every
 // tree pays: completions hash into time buckets of width ~1/N, inserts

@@ -3,9 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 
-	"finitelb/internal/stats"
 	"finitelb/internal/workload"
 )
 
@@ -21,8 +19,12 @@ import (
 // defensive copy, nil for no churn. Every event needs an explicit
 // server (internal/chaos.Resolve assigns them deterministically);
 // stall/pause/resume have wall-clock semantics with no model-time
-// analogue and are rejected. Membership is tracked through the
-// schedule so a run can never go all-down or double-fault.
+// analogue and are rejected. Times must be finite and ≥ 0 and slow
+// factors finite and > 0 — the tracker's key order needs nonnegative
+// completion times, a server slowed by +Inf never completes, and an event
+// at +Inf never fires while blocking every later one. Membership is
+// tracked through the schedule so a run can never go all-down or
+// double-fault.
 func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	if c == nil || len(c.Events) == 0 {
 		return nil, nil
@@ -33,6 +35,9 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	alive := n
 	last := math.Inf(-1)
 	for k, ev := range evs {
+		if !(ev.T >= 0) || math.IsInf(ev.T, 1) {
+			return nil, fmt.Errorf("sim: churn event #%d (%v): time %v is not finite and ≥ 0 (grammar: KIND@t=T with T a finite time ≥ 0 in mean service times)", k, ev, ev.T)
+		}
 		if ev.T < last {
 			return nil, fmt.Errorf("sim: churn event #%d (%v) is out of time order", k, ev)
 		}
@@ -48,6 +53,10 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 			return nil, fmt.Errorf("sim: churn event %v targets server %d, farm has %d", ev, ev.Server, n)
 		}
 		switch ev.Kind {
+		case workload.ChurnSlow:
+			if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
+				return nil, fmt.Errorf("sim: churn event %v: factor %v is not finite and > 0 (grammar: slow@t=T@f=FACTOR with FACTOR a finite service-time multiplier > 0)", ev, ev.Factor)
+			}
 		case workload.ChurnCrash, workload.ChurnLeave:
 			if down[ev.Server] {
 				return nil, fmt.Errorf("sim: churn event %v targets a server that is already down", ev)
@@ -68,13 +77,27 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	return evs, nil
 }
 
+// armChurn installs a validated, non-empty schedule on a fresh stream.
+func (st *loopState) armChurn(evs []workload.ChurnEvent) {
+	n := len(st.qlen)
+	st.churn = evs
+	st.nextChurn = evs[0].T
+	st.down = make([]bool, n)
+	st.slow = make([]float64, n)
+	for i := range st.slow {
+		st.slow[i] = 1
+	}
+	st.live = make([]int, 0, n)
+	st.rebuildLive()
+}
+
 // rebuildLive regenerates the compact live-server list after a
 // membership change.
-func (f *farm) rebuildLive() {
-	f.live = f.live[:0]
-	for i := range f.servers {
-		if !f.down[i] {
-			f.live = append(f.live, i)
+func (st *loopState) rebuildLive() {
+	st.live = st.live[:0]
+	for i, d := range st.down {
+		if !d {
+			st.live = append(st.live, i)
 		}
 	}
 }
@@ -83,10 +106,10 @@ func (f *farm) rebuildLive() {
 // from — the backstop for policies whose pick doesn't read queue
 // lengths (round-robin, random) and so can land on a down server
 // despite the masked view.
-func (f *farm) nextAlive(from int) int {
-	n := len(f.servers)
+func (st *loopState) nextAlive(from int) int {
+	n := len(st.down)
 	for k := 1; k <= n; k++ {
-		if i := (from + k) % n; !f.down[i] {
+		if i := (from + k) % n; !st.down[i] {
 			return i
 		}
 	}
@@ -99,23 +122,25 @@ func (f *farm) nextAlive(from int) int {
 // uniform tie-breaking. Sampling from the survivors (rather than all N
 // with dead entries masked) is what keeps SQ(d)'s law — and the QBD
 // bracket solved at (alive, ρ·N/alive) — intact through churn.
-func (f *farm) pickSQDLive(rng *rand.Rand, d int) int {
-	live := f.live
+//
+//finitelb:hotpath
+func (st *loopState) pickSQDLive(d int) int {
+	live := st.live
 	m := len(live)
 	if d > m {
 		d = m
 	}
-	best, bestLen, ties := -1, math.MaxInt, 0
+	best, bestLen, ties := -1, int32(math.MaxInt32), 0
 	for k := 0; k < d; k++ {
-		j := k + rng.IntN(m-k)
+		j := k + st.fr.IntN(m-k)
 		live[k], live[j] = live[j], live[k]
 		s := live[k]
-		switch l := f.servers[s].length(); {
+		switch l := st.qlen[s]; {
 		case l < bestLen:
 			best, bestLen, ties = s, l, 1
 		case l == bestLen:
 			ties++
-			if rng.IntN(ties) == 0 {
+			if st.fr.IntN(ties) == 0 {
 				best = s
 			}
 		}
@@ -123,106 +148,134 @@ func (f *farm) pickSQDLive(rng *rand.Rand, d int) int {
 	return best
 }
 
-// pickLive routes one job on a possibly-degraded farm. Churn-free runs
-// (downCnt always 0) go straight to the policy picker with the exact
-// historical draw sequence.
-func pickLive(rng *rand.Rand, picker workload.Picker, queues workload.Queues, wf *farm, sqdD int) int {
-	if wf.downCnt > 0 && sqdD > 0 {
-		return wf.pickSQDLive(rng, sqdD)
+// churnPick is the picker of a churn run. While every server is up it is
+// the policy's own picker with the exact churn-free draw sequence; on a
+// degraded farm SQ(d) samples among the survivors and every other policy
+// picks over the masked farm view, with the next-alive probe behind it.
+type churnPick struct {
+	base picker // SQ(d)'s concrete picker; the farm-view adapter otherwise
+	sqdD int    // the SQ(d) policy's d, 0 for every other policy
+}
+
+//finitelb:hotpath
+func (c *churnPick) pick(st *loopState) int {
+	if st.downCnt == 0 {
+		return c.base.pick(st)
 	}
-	best := picker.Pick(rng, queues)
-	if wf.downCnt > 0 && wf.down[best] {
-		best = wf.nextAlive(best)
+	if c.sqdD > 0 {
+		return st.pickSQDLive(c.sqdD)
+	}
+	best := c.base.pick(st)
+	if st.down[best] {
+		best = st.nextAlive(best)
 	}
 	return best
 }
 
-// applyChurnSim applies one schedule event to the farm at model time
-// ev.T. Allocation here is fine — churn events are control-plane-rare
-// next to the event loop's per-arrival work.
-func applyChurnSim(ev workload.ChurnEvent, wf *farm, trk *tracker, rng *rand.Rand, svc workload.Service, w *wiring, picker workload.Picker, queues workload.Queues, res *stats.Stream) {
+// note re-keys server i in whichever min-index is active after a
+// membership change or a redistributed push; a down server is masked out
+// at +Inf.
+func (st *loopState) note(i int) {
+	if st.lenTree != nil {
+		key := float64(st.qlen[i])
+		if st.down[i] {
+			key = math.Inf(1)
+		}
+		st.lenTree.Update(i, key)
+	}
+	if st.workTree != nil {
+		if st.down[i] {
+			st.workTree.Update(i, math.Inf(1))
+		} else {
+			st.noteWork(i)
+		}
+	}
+}
+
+// applyChurn fires the head of the schedule at its model time.
+// Allocation here is fine — churn events are control-plane-rare next to
+// the event loop's per-arrival work.
+func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
+	ev := st.churn[0]
+	st.churn = st.churn[1:]
+	st.nextChurn = math.Inf(1)
+	if len(st.churn) > 0 {
+		st.nextChurn = st.churn[0].T
+	}
+
 	i := ev.Server
 	switch ev.Kind {
 	case workload.ChurnSlow:
-		wf.slow[i] = ev.Factor
+		st.slow[i] = ev.Factor
+		st.unit = false
 		return
 	case workload.ChurnRestore:
-		wf.down[i] = false
-		wf.downCnt--
-		wf.rebuildLive()
-		wf.note(i)
+		st.down[i] = false
+		st.downCnt--
+		st.rebuildLive()
+		st.note(i)
 		return
 	}
 
-	// Crash or leave. Drain the queue into scratch first: the ring only
-	// pops from the head, and a graceful leave keeps the in-service job
-	// (scratch[0]) on the server.
-	sv := &wf.servers[i]
+	// Crash or leave: every job on the server is orphaned, except that a
+	// graceful leave lets the in-service job (the ring's head) complete in
+	// place — its tracker entry is already correct.
+	sv := &st.servers[i]
+	keep := uint32(0)
+	if ev.Kind == workload.ChurnLeave && sv.length() > 0 {
+		keep = 1
+	}
 	type orphan struct{ arrived, req float64 }
-	scratch := make([]orphan, 0, sv.length())
-	for sv.length() > 0 {
-		idx := sv.head & uint32(len(sv.arrivals)-1)
+	orphans := make([]orphan, 0, sv.length())
+	for j := sv.head + keep; j != sv.tail; j++ {
+		idx := j & uint32(len(sv.arrivals)-1)
 		o := orphan{arrived: sv.arrivals[idx]}
 		if sv.work != nil {
 			o.req = sv.work[idx]
 		}
-		sv.head++
-		scratch = append(scratch, o)
+		orphans = append(orphans, o)
 	}
+	sv.tail = sv.head + keep
 	sv.pending = 0
-	orphans := scratch
-	if ev.Kind == workload.ChurnLeave && len(scratch) > 0 {
-		// The in-service job completes in place; its tracker entry and
-		// completion time are already correct.
-		if sv.work != nil {
-			sv.pushWork(scratch[0].arrived, scratch[0].req)
-		} else {
-			sv.push(scratch[0].arrived)
-		}
-		orphans = scratch[1:]
-	} else {
+	st.qlen[i] = int32(keep)
+	if keep == 0 {
 		// Crash: in-service progress is lost; a re-executed job draws a
 		// fresh requirement at its new service start (under a work-aware
 		// policy the original requirement travels with the job).
 		sv.completion = math.Inf(1)
-		trk.update(i, math.Inf(1))
+		st.trk.update(i, math.Inf(1))
 	}
-	wf.down[i] = true
-	wf.downCnt++
-	wf.rebuildLive()
-	wf.note(i) // masks the server out of the min-indexes
+	st.down[i] = true
+	st.downCnt++
+	st.rebuildLive()
+	st.note(i)
 
 	// Redistribute the orphans through the dispatch policy at the event
 	// instant, arrival stamps preserved — the lost time surfaces in the
 	// measured sojourns, exactly as live redelivery does.
-	wf.now = ev.T
+	st.now = ev.T
 	for _, o := range orphans {
-		best := pickLive(rng, picker, queues, wf, w.sqdD)
-		tsv := &wf.servers[best]
-		if w.workAware {
+		best := pk.pick(st)
+		tsv := &st.servers[best]
+		l := st.qlen[best] + 1
+		st.qlen[best] = l
+		if st.workAware {
 			tsv.pushWork(o.arrived, o.req)
-			if tsv.length() == 1 {
-				x := o.req / w.speeds[best]
-				if wf.slow[best] != 1 {
-					x *= wf.slow[best]
-				}
-				tsv.completion = ev.T + x
-				trk.update(best, tsv.completion)
+			if l == 1 {
+				tsv.completion = ev.T + st.serviceTime(best, o.req)
+				st.trk.update(best, tsv.completion)
 			} else {
 				tsv.pending += o.req
 			}
 		} else {
 			tsv.push(o.arrived)
-			if tsv.length() == 1 {
-				x := svc.Sample(rng) / w.speeds[best]
-				if wf.slow[best] != 1 {
-					x *= wf.slow[best]
-				}
-				tsv.completion = ev.T + x
-				trk.update(best, tsv.completion)
+			if l == 1 {
+				st.trk.update(best, ev.T+st.serviceTime(best, svc.sample(st.fr)))
 			}
 		}
-		wf.note(best)
-		res.ObserveQueue(tsv.length())
+		st.note(best)
+		if int(l) > st.maxQueue {
+			st.maxQueue = int(l)
+		}
 	}
 }

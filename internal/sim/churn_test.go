@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"finitelb/internal/chaos"
 	"finitelb/internal/sqd"
 	"finitelb/internal/trace"
 	"finitelb/internal/workload"
@@ -33,6 +35,13 @@ func TestChurnValidation(t *testing.T) {
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 2, Server: 1},
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 3, Server: 2},
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 4, Server: 3}), "last live server"},
+		{"negative time", churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: -1, Server: 0}), "finite and ≥ 0"},
+		{"NaN time", churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: math.NaN(), Server: 0}), "finite and ≥ 0"},
+		{"infinite time", churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: math.Inf(1), Server: 0}), "finite and ≥ 0"},
+		{"zero factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0}), "finite and > 0"},
+		{"negative factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: -2}), "finite and > 0"},
+		{"NaN factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: math.NaN()}), "finite and > 0"},
+		{"infinite factor", churnOf(workload.ChurnEvent{Kind: workload.ChurnSlow, T: 1, Server: 0, Factor: math.Inf(1)}), "finite and > 0"},
 		{"out of order", churnOf(
 			workload.ChurnEvent{Kind: workload.ChurnCrash, T: 5, Server: 0},
 			workload.ChurnEvent{Kind: workload.ChurnRestore, T: 2, Server: 0}), "time order"},
@@ -80,11 +89,9 @@ func TestChurnDeterminism(t *testing.T) {
 	}
 }
 
-// TestChurnNeverFiringBitIdentical pins that configuring churn costs
-// nothing but the loop selection: an event beyond the measured horizon
-// forces the interface loop yet never fires, and the result must be
-// bit-equal to the default typed-loop run (the two loops are pinned
-// draw-identical by TestTypedLoopMatchesInterfaceLoop).
+// TestChurnNeverFiringBitIdentical pins that arming churn changes no
+// draw: an event beyond the measured horizon never fires, and the result
+// must be bit-equal to the churn-free run.
 func TestChurnNeverFiringBitIdentical(t *testing.T) {
 	p := sqd.Params{N: 6, D: 2, Rho: 0.8}
 	base, err := Run(p, Options{Jobs: 20_000, Seed: 9})
@@ -143,5 +150,50 @@ func TestChurnSlowRaisesDelay(t *testing.T) {
 	if !(slowed.MeanDelay > base.MeanDelay+3*base.HalfWidth) {
 		t.Errorf("4× slow on one of two servers did not raise mean delay: %.4f vs %.4f",
 			slowed.MeanDelay, base.MeanDelay)
+	}
+}
+
+// TestChurnGoldens pins churn runs bit for bit. The Results were captured
+// at commit 8a2d7fb, where churn ran on its own interface-dispatched event
+// loop, immediately before churn became an event source of the one typed
+// loop — so that move is draw-identical by test. The schedule exercises
+// every simulated kind (crash with redistribution, graceful leave with an
+// in-service residual, slow, restore). At N = 10 the four policies cover
+// each degraded-mode pick path: SQ(d) over the survivors, a length scan
+// and a work scan through the masked view, and the length-blind
+// next-alive backstop; the N = 100 rows add the masked min-index trees.
+func TestChurnGoldens(t *testing.T) {
+	spec, err := workload.ParseChurn("crash@200,leave@400,slow@600@f=2,restore@2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy string
+		p      sqd.Params
+		jobs   int64
+		want   Result
+	}{
+		{"sqd:2", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 2.01996227448456, MeanWait: 1.01996227448456, HalfWidth: 0.07017650723703793, Jobs: 30000, MaxQueue: 8, P50: 1.4476800818050808, P95: 5.754650636982901, P99: 9.300092397207594}},
+		{"jsq", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.373890604477093, MeanWait: 0.3738906044770931, HalfWidth: 0.050804313527406775, Jobs: 30000, MaxQueue: 5, P50: 0.9323450234446055, P95: 4.178689443140948, P99: 6.753181100290354}},
+		{"rr", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 126.64803914903462, MeanWait: 125.64803914903462, HalfWidth: 7.9144340754765645, Jobs: 30000, MaxQueue: 980, P50: 2.2033442777970422, P95: 685.5131467993142, P99: 772.917006579852}},
+		{"lwl", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.230184380795622, MeanWait: 0.2301843807956221, HalfWidth: 0.05222200833811207, Jobs: 30000, MaxQueue: 9, P50: 0.8780477199413352, P95: 3.5608252627329775, P99: 5.754650636982901}},
+		{"jsq", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.1148603523300884, MeanWait: 0.1148603523300884, HalfWidth: 0.014485475407236006, Jobs: 300000, MaxQueue: 3, P50: 0.7787553520143207, P95: 3.3534522354191125, P99: 5.103896839254332}},
+		{"lwl", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.0505534665693943, MeanWait: 0.0505534665693943, HalfWidth: 0.010443046573498876, Jobs: 300000, MaxQueue: 7, P50: 0.7482189202129556, P95: 3.0343189471832916, P99: 4.711478037874681}},
+	} {
+		evs, err := chaos.Resolve(spec, 1, tc.p.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol, err := workload.ParsePolicy(tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(tc.p, Options{Jobs: tc.jobs, Seed: 1, Policy: pol, Churn: &workload.Churn{Events: evs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s/N=%d: churn run drifted from the captured golden:\ngot  %#v\nwant %#v", tc.policy, tc.p.N, got, tc.want)
+		}
 	}
 }

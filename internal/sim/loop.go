@@ -11,10 +11,10 @@ import (
 	"finitelb/internal/workload"
 )
 
-// loopState is the mutable per-stream state shared by every typed-loop
-// instantiation. It persists across run calls, so a stream can be driven
-// in chunks (the allocation-regression tests lean on that) with results
-// bit-identical to one uninterrupted run.
+// loopState is the mutable per-stream state of the event loop. It persists
+// across run calls, so a stream can be driven in chunks (the
+// allocation-regression tests lean on that) with results bit-identical to
+// one uninterrupted run.
 type loopState struct {
 	servers []server
 	// qlen mirrors each server's queue length in a dense array: pickers
@@ -26,7 +26,8 @@ type loopState struct {
 	speeds []float64
 	fr     *frand.RNG
 	// std wraps the same generator for code that only speaks *rand.Rand
-	// (the minindex tie-break descents); draws interleave on one stream.
+	// (the minindex tie-break descents, the workload-interface adapters);
+	// draws interleave on one stream.
 	std *rand.Rand
 	trk *tracker
 	res *stats.Stream
@@ -36,8 +37,10 @@ type loopState struct {
 	// and trace-on runs stay seed-deterministic.
 	tr *simTracer
 
-	// Hierarchical min-indexes, mirroring the interface loop's farm trees:
-	// lenTree for indexed JSQ, workTree for indexed LWL, nil otherwise.
+	// Hierarchical min-indexes (nil below minindex.Threshold, or when the
+	// policy doesn't dispatch on a global argmin): lenTree tracks queue
+	// lengths for JSQ, workTree tracks backlog for LWL, so a pick is
+	// O(log N) instead of the O(N) scan that dominates large-N sweeps.
 	lenTree  *minindex.Seq
 	workTree *minindex.Seq
 
@@ -48,11 +51,25 @@ type loopState struct {
 	now         float64 // current arrival instant, read by work-aware picks
 	maxQueue    int
 	workAware   bool
-	// unit marks a homogeneous unit-speed fleet: x/1.0 ≡ x in IEEE
-	// arithmetic, so the loops skip the requirement/speed division — a
-	// dependent FDIV feeding the tracker key — without changing a bit.
+	// unit marks a homogeneous unit-speed fleet with no slow factor in
+	// force: x/1.0 ≡ x in IEEE arithmetic, so the loop skips serviceTime —
+	// a dependent FDIV feeding the tracker key — without changing a bit.
 	unit    bool
 	started bool
+
+	// Failure-domain state (churn.go), allocated only for churn runs.
+	// churn is the schedule still to fire and nextChurn its head's time,
+	// +Inf once exhausted or without churn — the loop's third event
+	// source costs churn-free runs that one compare. down marks
+	// departed/crashed servers, downCnt counts them, live is the compact
+	// live-server list the degraded-mode SQ(d) samples from, and slow
+	// holds per-server service-duration multipliers (1 = none).
+	churn     []workload.ChurnEvent
+	nextChurn float64
+	down      []bool
+	downCnt   int
+	live      []int
+	slow      []float64
 
 	// buf holds measured sojourns until they are flushed to res in one
 	// AddBatch call — same accumulator arithmetic in the same order, minus
@@ -62,6 +79,7 @@ type loopState struct {
 }
 
 // flush drains the sojourn buffer into the stream.
+//
 //finitelb:hotpath
 func (st *loopState) flush() {
 	if st.bufn > 0 {
@@ -70,8 +88,21 @@ func (st *loopState) flush() {
 	}
 }
 
-// workAt is farm.Work for the typed loop: server i's time-to-drain at the
-// current arrival instant.
+// serviceTime converts a requirement into server i's service duration.
+//
+//finitelb:hotpath
+func (st *loopState) serviceTime(i int, req float64) float64 {
+	x := req / st.speeds[i]
+	if st.slow != nil {
+		x *= st.slow[i]
+	}
+	return x
+}
+
+// workAt is server i's time-to-drain at the current arrival instant: the
+// in-service remainder (completion − now, already in time units) plus the
+// queued not-yet-started requirements divided by the server's speed.
+//
 //finitelb:hotpath
 func (st *loopState) workAt(i int) float64 {
 	if st.qlen[i] == 0 {
@@ -85,9 +116,29 @@ func (st *loopState) workAt(i int) float64 {
 	return s.pending/st.speeds[i] + rem
 }
 
-// noteWork re-keys server i in the work index; same key as farm.note.
+// noteLen re-keys server i in the length index after a departure left it
+// with l jobs. A down server stays masked: the in-service job a graceful
+// leave lets finish must not bring its server back into the index.
+//
+//finitelb:hotpath
+func (st *loopState) noteLen(i int, l int32) {
+	if st.down != nil && st.down[i] {
+		return
+	}
+	st.lenTree.Update(i, float64(l))
+}
+
+// noteWork re-keys server i in the work index. The key is pending/speed +
+// completion — the absolute-time form of workAt: among busy servers
+// "− now" is a common shift that argmin ignores, and an idle server keys
+// at 0, below every busy server's completion ≥ now ≥ 0. Down servers stay
+// masked, as in noteLen.
+//
 //finitelb:hotpath
 func (st *loopState) noteWork(i int) {
+	if st.down != nil && st.down[i] {
+		return
+	}
 	if st.qlen[i] == 0 {
 		st.workTree.Update(i, 0)
 		return
@@ -102,29 +153,40 @@ type typedRunner struct {
 	run func(jobs int64) // continues the stream until `jobs` measured
 }
 
-// newTypedRunner resolves a wiring onto the devirtualized event loop:
-// concrete samplers for the built-in arrival and service laws (stenciled
-// pairwise by the generic loop) and concrete pickers for the built-in
-// policies. It returns nil when any piece is exotic — a user-supplied
-// implementation of the workload interfaces — in which case runStream
-// falls back to the interface loop, which handles every wiring at one
-// virtual hop per draw.
+// newTypedRunner resolves a wiring onto the event loop: concrete samplers
+// for the built-in arrival and service laws (stenciled pairwise by the
+// generic loop) and concrete pickers for the built-in policies; a
+// user-supplied implementation of a workload interface rides the same
+// loop behind an adapter (samplers.go, pick.go) at one virtual hop per
+// draw. The wiring must have passed resolve.
 func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *typedRunner {
+	st := newLoopState(p, w, warmup, res, seed)
+	pk := st.concretePicker(w.policy)
+	if _, sqd := pk.(*sqdPick); pk == nil || len(w.churn) > 0 && !sqd {
+		// On a churn run every policy but SQ(d) — whose degraded pick
+		// samples the survivors and never reads a down server — picks
+		// over the farm view, which is where down servers are masked.
+		pk = st.adapterPicker(w.policy)
+	}
+	if len(w.churn) > 0 {
+		pk = &churnPick{base: pk, sqdD: w.sqdD}
+	}
+	return &typedRunner{st: st, run: bindArr(st, w, pk)}
+}
+
+// newLoopState allocates the per-stream state for a wiring: servers,
+// tracker, the min-index the policy dispatches on, and — for churn runs —
+// the failure-domain state.
+func newLoopState(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *loopState {
 	st := &loopState{
-		speeds: w.speeds,
-		fr:     frand.New(seed, 0x5bd1e995),
-		res:    res,
-		warmup: warmup,
+		speeds:    w.speeds,
+		fr:        frand.New(seed, 0x5bd1e995),
+		res:       res,
+		warmup:    warmup,
+		workAware: w.workAware,
+		nextChurn: math.Inf(1),
 	}
 	st.std = rand.New(st.fr)
-	pk := st.newPicker(p, w)
-	if pk == nil {
-		return nil
-	}
-	run := bindArr(st, w, pk)
-	if run == nil {
-		return nil
-	}
 	st.servers = make([]server, p.N)
 	for i := range st.servers {
 		st.servers[i].init(st.workAware)
@@ -139,59 +201,61 @@ func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, see
 			break
 		}
 	}
-	return &typedRunner{st: st, run: run}
+	if p.N >= minindex.Threshold {
+		// Sub-linear dispatch: global-argmin policies get a maintained
+		// min-index; below the threshold (and for O(d) policies) the
+		// reference scan wins. Selection changes the rng draw sequence,
+		// not the policy's law — results stay seed-deterministic.
+		switch w.policy.(type) {
+		case workload.JSQ:
+			st.lenTree = minindex.NewSeq(p.N)
+		case workload.LWL:
+			st.workTree = minindex.NewSeq(p.N)
+		}
+	}
+	if len(w.churn) > 0 {
+		st.armChurn(w.churn)
+	}
+	return st
 }
 
-// newPicker resolves the policy to a concrete picker, creating the
-// min-index the indexed variants read. The selection mirrors
-// runInterfaceLoop's farm setup exactly: trees only at
-// N ≥ minindex.Threshold, scan pickers below.
-func (st *loopState) newPicker(p sqd.Params, w wiring) picker {
-	st.workAware = w.workAware
-	switch pol := w.policy.(type) {
+// concretePicker resolves a built-in policy to its concrete picker —
+// tree variants when newLoopState built the index — and returns nil for
+// a user-supplied policy.
+func (st *loopState) concretePicker(pol workload.Policy) picker {
+	n := len(st.qlen)
+	switch pol := pol.(type) {
 	case workload.SQD:
-		perm := make([]int, p.N)
+		perm := make([]int, n)
 		for i := range perm {
 			perm[i] = i
 		}
 		return &sqdPick{d: pol.D, perm: perm}
 	case workload.JSQ:
-		if p.N >= minindex.Threshold {
-			st.lenTree = minindex.NewSeq(p.N)
+		if st.lenTree != nil {
 			return jsqTreePick{}
 		}
 		return jsqScanPick{}
 	case workload.LWL:
-		if p.N >= minindex.Threshold {
-			st.workTree = minindex.NewSeq(p.N)
+		if st.workTree != nil {
 			return lwlTreePick{}
 		}
 		return lwlScanPick{}
 	case workload.JIQ:
 		return jiqPick{}
 	case workload.RoundRobin:
-		return &rrPick{n: p.N}
+		return &rrPick{n: n}
 	case workload.Random:
-		return randPick{n: p.N}
+		return randPick{n: n}
 	}
 	return nil
 }
 
 // bindArr resolves the arrival law and forwards to the service-law
-// resolution; together they pick the stenciled loop instantiation. The
-// paper's own wiring — Poisson arrivals, exponential service, SQ(d) — is
-// peeled off first onto runDefault, where the three per-event draws are
-// hand-inlined rather than stenciled: generic instantiations still route
-// method calls through their shape dictionaries, and on a loop this tight
-// the call frames alone are measurable.
+// resolution; together they pick the stenciled loop instantiation.
 func bindArr(st *loopState, w wiring, pk picker) func(int64) {
 	switch a := w.arrival.(type) {
 	case workload.Poisson:
-		if _, ok := w.service.(workload.Exponential); ok {
-			if sp, ok := pk.(*sqdPick); ok {
-				return func(jobs int64) { runDefault(st, w.rate, sp, jobs) }
-			}
-		}
 		return bindSvc(st, poissonArr{rate: w.rate}, w, pk)
 	case workload.DeterministicArrivals:
 		return bindSvc(st, constArr{gap: 1 / w.rate}, w, pk)
@@ -201,7 +265,7 @@ func bindArr(st *loopState, w wiring, pk picker) func(int64) {
 		p1, l1, l2 := a.Phases(w.rate)
 		return bindSvc(st, hyperArr{p: p1, l1: l1, l2: l2}, w, pk)
 	}
-	return nil
+	return bindSvc(st, st.adapterArr(w), w, pk)
 }
 
 func bindSvc[A arrSampler](st *loopState, arr A, w wiring, pk picker) func(int64) {
@@ -215,27 +279,35 @@ func bindSvc[A arrSampler](st *loopState, arr A, w wiring, pk picker) func(int64
 	case workload.BoundedPareto:
 		return bindLoop(st, arr, paretoSvc{p: s}, pk)
 	}
-	return nil
+	return bindLoop(st, arr, ifaceSvc{svc: w.service, std: st.std}, pk)
 }
 
 func bindLoop[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker) func(int64) {
 	return func(jobs int64) { runTyped(st, arr, svc, pk, jobs) }
 }
 
-// runTyped is the devirtualized event loop: structurally the interface
-// loop (runInterfaceLoop) with every hot call concrete — arrival and
-// service draws are stenciled per law pair, the tracker is the inline
-// 4-ary heap, pickers read the server slice directly, and the per-event
-// max-queue bookkeeping folds into the stream once per run call instead
-// of per arrival. Bit-identity with the interface loop across the whole
-// built-in workload matrix is pinned by TestTypedLoopMatchesInterfaceLoop;
-// the same property for the default wiring is pinned against the captured
-// pre-workload goldens by TestDefaultWorkloadBitIdentical.
+// runTyped is the event loop, stenciled per (arrival, service) sampler
+// pair so every per-event draw is a direct call; the picker is held as an
+// interface, one indirect call per arrival. Three event sources race on
+// model time — the churn schedule, the next arrival, the earliest
+// completion — with churn ahead of an arrival ahead of a completion at
+// equal instants.
+//
+// Under a work-aware policy (LWL) each job's service requirement is drawn
+// at *arrival* instead of at service start — the dispatcher must know the
+// work it is about to place. The draw *sequence* therefore differs from
+// the non-work-aware arm, but each job's requirement is the same i.i.d.
+// law, so all configurations remain distributionally identical.
+//
+// The default wiring is pinned against the captured pre-workload goldens
+// by TestDefaultWorkloadBitIdentical, churn runs by TestChurnGoldens, and
+// the concrete samplers and pickers against the workload interfaces by
+// TestTypedLoopMatchesInterfaceLoop.
+//
 //finitelb:hotpath
 func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker, jobs int64) {
 	servers := st.servers
 	qlen := st.qlen
-	speeds := st.speeds
 	fr := st.fr
 	trk := st.trk
 	res := st.res
@@ -251,12 +323,22 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 	departed := st.departed
 	measured := st.measured
 	maxQ := st.maxQueue
+	nextChurn := st.nextChurn
 
 	// The (min, argmin) pair is live across iterations and re-read only
 	// after a tracker update: arrivals to busy servers — the bulk of all
 	// events — leave the tracker untouched.
 	minC, minI := trk.min()
 	for measured < jobs {
+		if nextChurn <= minC && nextChurn <= nextArrival {
+			// Membership changes are control-plane-rare: the hook works on
+			// st, and the loop re-reads what it may have changed.
+			st.maxQueue = maxQ
+			applyChurn(st, svc, pk)
+			nextChurn, maxQ, unit = st.nextChurn, st.maxQueue, st.unit
+			minC, minI = trk.min()
+			continue
+		}
 		if nextArrival <= minC {
 			now := nextArrival
 			nextArrival = now + arr.next(fr)
@@ -274,7 +356,7 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				if l == 1 {
 					x := req
 					if !unit {
-						x /= speeds[best]
+						x = st.serviceTime(best, x)
 					}
 					sv.completion = now + x
 					trk.update(best, sv.completion)
@@ -303,7 +385,7 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				if l == 1 {
 					x := svc.sample(fr)
 					if !unit {
-						x /= speeds[best]
+						x = st.serviceTime(best, x)
 					}
 					trk.update(best, now+x)
 					minC, minI = trk.min()
@@ -331,7 +413,7 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 				sv.pending -= req
 				x := req
 				if !unit {
-					x /= speeds[minI]
+					x = st.serviceTime(minI, x)
 				}
 				sv.completion = now + x
 			} else {
@@ -345,152 +427,15 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 			if l > 0 {
 				x := svc.sample(fr)
 				if !unit {
-					x /= speeds[minI]
+					x = st.serviceTime(minI, x)
 				}
 				trk.update(minI, now+x)
 			} else {
 				trk.update(minI, math.Inf(1))
 			}
 			if lenTree != nil {
-				lenTree.Update(minI, float64(l))
+				st.noteLen(minI, l)
 			}
-		}
-		if tr != nil {
-			tr.onDeparture(now, minI)
-		}
-		minC, minI = trk.min()
-		departed++
-		if departed > st.warmup {
-			st.buf[st.bufn] = now - arrivedAt
-			st.bufn++
-			if st.bufn == len(st.buf) {
-				res.AddBatch(st.buf[:])
-				st.bufn = 0
-			}
-			measured++
-		}
-	}
-
-	st.nextArrival = nextArrival
-	st.departed = departed
-	st.measured = measured
-	st.maxQueue = maxQ
-	st.flush()
-	res.ObserveQueue(maxQ)
-}
-
-// runDefault is the typed loop hand-specialized to the paper's wiring —
-// Poisson arrivals, exponential service, SQ(d) dispatch, any speeds. It
-// is runTyped's non-work-aware body with the three per-event draws and
-// the partial Fisher–Yates pick written inline (no sampler or picker
-// call at all), because this one wiring carries the bulk of every sweep
-// the repository runs. It must stay draw-for-draw identical to the
-// generic loop; TestTypedLoopMatchesInterfaceLoop's "default" and
-// "sqd-het" wirings pin it against the interface loop, and
-// TestDefaultWorkloadBitIdentical pins it against the pre-workload
-// goldens.
-//finitelb:hotpath
-func runDefault(st *loopState, lamN float64, pk *sqdPick, jobs int64) {
-	servers := st.servers
-	qlen := st.qlen
-	speeds := st.speeds
-	fr := st.fr
-	trk := st.trk
-	res := st.res
-	unit := st.unit
-	tr := st.tr
-	perm := pk.perm
-	d := pk.d
-	n := len(perm)
-	if !st.started {
-		st.nextArrival = fr.ExpFloat64() / lamN
-		st.started = true
-	}
-	nextArrival := st.nextArrival
-	departed := st.departed
-	measured := st.measured
-	maxQ := st.maxQueue
-
-	// See runTyped: (min, argmin) stays in registers between tracker
-	// updates.
-	minC, minI := trk.min()
-	for measured < jobs {
-		if nextArrival <= minC {
-			now := nextArrival
-			nextArrival = now + fr.ExpFloat64()/lamN
-			// SQ(d): partial Fisher–Yates over d distinct servers, keeping
-			// the least loaded with uniform reservoir tie-breaking. The
-			// paper's d = 2 is unrolled; draws match the general loop
-			// exactly (no tie draw on the first candidate, one IntN(2) on
-			// an exact tie).
-			var best int
-			tiesSeen := 1
-			if d == 2 {
-				j := fr.IntN(n)
-				perm[0], perm[j] = perm[j], perm[0]
-				s0 := perm[0]
-				j = 1 + fr.IntN(n-1)
-				perm[1], perm[j] = perm[j], perm[1]
-				s1 := perm[1]
-				best = s0
-				l0, l1 := qlen[s0], qlen[s1]
-				if l1 < l0 || (l1 == l0 && fr.IntN(2) == 0) {
-					best = s1
-				}
-				if l0 == l1 {
-					tiesSeen = 2
-				}
-			} else {
-				bestLen, ties := int32(math.MaxInt32), 0
-				best = -1
-				for k := 0; k < d; k++ {
-					j := k + fr.IntN(n-k)
-					perm[k], perm[j] = perm[j], perm[k]
-					s := perm[k]
-					switch l := qlen[s]; {
-					case l < bestLen:
-						best, bestLen, ties = s, l, 1
-					case l == bestLen:
-						ties++
-						if fr.IntN(ties) == 0 {
-							best = s
-						}
-					}
-				}
-				tiesSeen = ties
-			}
-			servers[best].push(now)
-			l := qlen[best] + 1
-			qlen[best] = l
-			if l == 1 {
-				x := fr.ExpFloat64()
-				if !unit {
-					x /= speeds[best]
-				}
-				trk.update(best, now+x)
-				minC, minI = trk.min()
-			}
-			if int(l) > maxQ {
-				maxQ = int(l)
-			}
-			if tr != nil {
-				tr.onArrival(now, best, int(l-1), tiesSeen)
-			}
-			continue
-		}
-		sv := &servers[minI]
-		now := minC
-		arrivedAt := sv.pop()
-		l := qlen[minI] - 1
-		qlen[minI] = l
-		if l > 0 {
-			x := fr.ExpFloat64()
-			if !unit {
-				x /= speeds[minI]
-			}
-			trk.update(minI, now+x)
-		} else {
-			trk.update(minI, math.Inf(1))
 		}
 		if tr != nil {
 			tr.onDeparture(now, minI)

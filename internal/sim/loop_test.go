@@ -10,8 +10,8 @@ import (
 	"finitelb/internal/workload"
 )
 
-// The typed loop re-derives every built-in law and policy as concrete
-// code; these tests pin each re-derivation — and the whole loop — to the
+// The event loop re-derives every built-in law and policy as concrete
+// code; these tests pin each re-derivation — and whole runs — to the
 // interface implementations, draw for draw.
 
 // testWiring pairs Options with a heterogeneous-speed marker.
@@ -41,33 +41,27 @@ func testWirings(t *testing.T) map[string]testWiring {
 	}
 }
 
-// runInterfaceStream mirrors runStream's fallback arm unconditionally:
-// the interface loop over the same frand-backed stream. Sketch tail, like
-// runStream's default — so typed-vs-interface equality also pins that the
-// batched sketch arm (AddBatch) and the per-observation one (Add) land in
-// identical sketch states.
-func runInterfaceStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, seed uint64) *stats.Stream {
-	res := newSimStream(batchSize, TailSketch)
-	rng := rand.New(frand.New(seed, 0x5bd1e995))
-	servers := make([]server, p.N)
-	for i := range servers {
-		servers[i].init(w.workAware)
-	}
-	_, heavy := w.service.(workload.BoundedPareto)
-	runInterfaceLoop(p, w, servers, newTrackerFor(p.N, heavy), rng, res, jobs, warmup, nil)
+// runAdapterStream drives a wiring through the event loop with every
+// piece behind its workload-interface adapter — the instantiation a
+// user-supplied arrival process, service law and policy would get.
+func runAdapterStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, seed uint64) *stats.Stream {
+	res := newSimStream(batchSize)
+	st := newLoopState(p, w, warmup, res, seed)
+	bindLoop(st, st.adapterArr(w), ifaceSvc{svc: w.service, std: st.std}, st.adapterPicker(w.policy))(jobs)
 	return res
 }
 
-// TestTypedLoopMatchesInterfaceLoop is the overhaul's master regression:
-// for every built-in wiring, at sizes below and above the minindex
-// threshold (so scan and tree pickers are both exercised), the typed
-// loop and the interface loop must produce bit-identical Results — same
-// draws, same arithmetic, different dispatch cost only.
+// TestTypedLoopMatchesInterfaceLoop is the master regression of the
+// concrete samplers and pickers: for every built-in wiring, at sizes below
+// and above the minindex threshold (so scan and tree pickers are both
+// exercised), the concrete instantiation of the loop and the adapter
+// instantiation — every draw through the workload interfaces — must
+// produce bit-identical Results: same draws, same arithmetic, different
+// dispatch cost only.
 func TestTypedLoopMatchesInterfaceLoop(t *testing.T) {
 	for name, tw := range testWirings(t) {
 		// 6: linear tracker + scan pickers; 100: tournament tracker +
-		// indexed pickers; 600 (≥ calCutoff): the calendar-queue tracker
-		// runs inside both loops, not just in benchmarks.
+		// indexed pickers; 600 (≥ calCutoff): the calendar-queue tracker.
 		for _, n := range []int{6, 100, 600} {
 			p := sqd.Params{N: n, D: 2, Rho: 0.85}
 			o := tw.opts
@@ -83,15 +77,12 @@ func TestTypedLoopMatchesInterfaceLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/N=%d: %v", name, n, err)
 			}
-			tr := newTypedRunner(p, w, o.Warmup, newSimStream(o.BatchSize, TailSketch), o.Seed)
-			if tr == nil {
-				t.Fatalf("%s/N=%d: built-in wiring did not resolve onto the typed loop", name, n)
-			}
+			tr := newTypedRunner(p, w, o.Warmup, newSimStream(o.BatchSize), o.Seed)
 			tr.run(o.Jobs)
 			typed := result(tr.st.res)
-			iface := result(runInterfaceStream(p, w, o.Jobs, o.Warmup, o.BatchSize, o.Seed))
+			iface := result(runAdapterStream(p, w, o.Jobs, o.Warmup, o.BatchSize, o.Seed))
 			if typed != iface {
-				t.Errorf("%s/N=%d: typed loop diverged from interface loop:\ntyped %+v\niface %+v", name, n, typed, iface)
+				t.Errorf("%s/N=%d: concrete instantiation diverged from the adapter one:\ntyped %+v\niface %+v", name, n, typed, iface)
 			}
 		}
 	}
@@ -235,11 +226,10 @@ func TestPickersMatchWorkload(t *testing.T) {
 	}
 }
 
-// TestExoticWiringFallsBack: user-supplied implementations of the
-// workload interfaces must decline the typed loop and still produce
-// bit-identical results through the interface loop when they delegate to
-// a built-in law.
-func TestExoticWiringFallsBack(t *testing.T) {
+// TestExoticWiringMatchesBuiltin: a user-supplied implementation of a
+// workload interface rides the loop behind an adapter, and must produce
+// bit-identical results when it delegates to a built-in law.
+func TestExoticWiringMatchesBuiltin(t *testing.T) {
 	p := sqd.Params{N: 12, D: 2, Rho: 0.8}
 	builtin, err := Run(p, Options{Jobs: 5000, Seed: 31})
 	if err != nil {
@@ -252,19 +242,10 @@ func TestExoticWiringFallsBack(t *testing.T) {
 	if builtin != exotic {
 		t.Errorf("exotic delegating wiring drifted from built-in:\nexotic  %+v\nbuiltin %+v", exotic, builtin)
 	}
-	o := Options{Jobs: 5000, Seed: 31, Arrival: wrappedPoisson{}}
-	o.setDefaults()
-	w, err := resolve(p, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := newTypedRunner(p, w, o.Warmup, newSimStream(o.BatchSize, TailSketch), o.Seed); tr != nil {
-		t.Error("exotic arrival resolved onto the typed loop")
-	}
 }
 
 // wrappedPoisson is an "exotic" arrival process that happens to delegate
-// to Poisson — unknown type to the typed resolver, identical draws.
+// to Poisson — unknown type to bindArr, identical draws.
 type wrappedPoisson struct{}
 
 func (wrappedPoisson) NewSource(rate float64) (workload.Source, error) {
@@ -276,7 +257,7 @@ func (wrappedPoisson) String() string { return "wrapped-poisson" }
 // the tracker mode changes only the cost of finding the next completion,
 // never the draws — a full run on the production mode (calendar at this
 // size) must be bit-identical to the same run forced onto the tournament
-// tree and the 4-ary heap contender is covered by the property test.
+// tree.
 func TestTrackerModeInvariance(t *testing.T) {
 	p := sqd.Params{N: 600, D: 2, Rho: 0.9}
 	for name, opts := range map[string]Options{
@@ -288,12 +269,12 @@ func TestTrackerModeInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize, TailSketch), opts.Seed)
+		prod := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
 		if prod.st.trk.cal.keys == nil {
 			t.Fatalf("%s: N=%d did not select the calendar tracker", name, p.N)
 		}
 		prod.run(opts.Jobs)
-		forced := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize, TailSketch), opts.Seed)
+		forced := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
 		forced.st.trk = &tracker{tour: newTourTracker(p.N), n: p.N}
 		forced.run(opts.Jobs)
 		if a, b := result(prod.st.res), result(forced.st.res); a != b {
@@ -316,9 +297,9 @@ func TestTypedChunkedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize, TailSketch), opts.Seed)
+		one := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
 		one.run(opts.Jobs)
-		chunked := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize, TailSketch), opts.Seed)
+		chunked := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
 		for j := int64(500); j <= opts.Jobs; j += 500 {
 			chunked.run(j)
 		}
@@ -328,46 +309,56 @@ func TestTypedChunkedRuns(t *testing.T) {
 	}
 }
 
-// TestAllocFreeEventPath is the allocation-regression guard of the
-// tentpole: after warmup (rings grown, buffers sized), the default and
-// the work-aware typed event paths must run allocation-free. BatchSize
-// exceeds the measured jobs so no batch-means append lands mid-chunk,
-// and the histogram/ring growth all happens in the warm phase.
+// TestAllocFreeEventPath is the allocation-regression guard of the event
+// loop: after warmup (rings grown, buffers sized), the default, indexed
+// and work-aware event paths must run allocation-free. BatchSize exceeds
+// the measured jobs so no batch-means append lands mid-chunk, and the
+// sketch/ring growth all happens in the warm phase. The churn rows arm a
+// schedule that fires entirely inside the warm phase (churn events
+// themselves may allocate) and leaves the farm degraded and slowed, so
+// the measured chunks run the survivor picks and the slow multiply.
 func TestAllocFreeEventPath(t *testing.T) {
 	pareto, err := workload.NewBoundedPareto(1.5, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sketch tail (the default) everywhere, one histogram arm to keep the
-	// legacy estimator's path guarded too; the N=10⁴ cases pin the floor
-	// at the size where BENCH_sim.json historically showed 1–2 B/op of
-	// setup amortization (see BenchmarkSimJobs).
+	churn, err := workload.ParseChurn("crash@20@s=1,leave@40@s=2,slow@60@s=3@f=2,restore@80@s=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The N=10⁴ cases pin the floor at the size where setup amortization
+	// once read as 1–2 B/op (see BenchmarkSimJobs).
 	for name, tc := range map[string]struct {
-		opts Options
-		n    int
+		opts  Options
+		n     int
+		churn bool
 	}{
-		"default":            {Options{Seed: 3}, 100},
-		"default-hist":       {Options{Seed: 3, Tail: TailHistogram}, 100},
-		"jsq-indexed":        {Options{Seed: 3, Policy: workload.JSQ{}}, 100},
-		"lwl-work-aware":     {Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, 100},
-		"jsq-indexed-10k":    {Options{Seed: 3, Policy: workload.JSQ{}}, 10_000},
-		"lwl-work-aware-10k": {Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, 10_000},
+		"default":            {opts: Options{Seed: 3}, n: 100},
+		"jsq-indexed":        {opts: Options{Seed: 3, Policy: workload.JSQ{}}, n: 100},
+		"lwl-work-aware":     {opts: Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, n: 100},
+		"jsq-indexed-10k":    {opts: Options{Seed: 3, Policy: workload.JSQ{}}, n: 10_000},
+		"lwl-work-aware-10k": {opts: Options{Seed: 3, Service: pareto, Policy: workload.LWL{}}, n: 10_000},
+		"default-churn":      {opts: Options{Seed: 3}, n: 100, churn: true},
+		"jsq-indexed-churn":  {opts: Options{Seed: 3, Policy: workload.JSQ{}}, n: 100, churn: true},
 	} {
 		p := sqd.Params{N: tc.n, D: 2, Rho: 0.9}
 		opts := tc.opts
 		opts.Jobs = 1 << 30 // never reached; chunks drive the stream
 		opts.BatchSize = 1 << 40
+		if tc.churn {
+			opts.Churn = churn
+		}
 		opts.setDefaults()
 		w, err := resolve(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize, opts.Tail), opts.Seed)
-		if tr == nil {
-			t.Fatalf("%s: wiring did not resolve onto the typed loop", name)
-		}
+		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize), opts.Seed)
 		jobs := int64(50_000) // warm: grow rings, touch tail-estimator state
 		tr.run(jobs)
+		if tc.churn && (len(tr.st.churn) != 0 || tr.st.downCnt == 0) {
+			t.Fatalf("%s: schedule did not fire in the warm phase (%d events left, %d down)", name, len(tr.st.churn), tr.st.downCnt)
+		}
 		const chunk = 10_000
 		avg := testing.AllocsPerRun(5, func() {
 			jobs += chunk

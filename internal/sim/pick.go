@@ -1,16 +1,23 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/rand/v2"
 
-// The typed loop's pickers are concrete re-derivations of the
+	"finitelb/internal/workload"
+)
+
+// The loop's pickers are concrete re-derivations of the
 // internal/workload pickers, specialized to the simulator's own farm
-// state: queue lengths and backlogs are read straight off the server
-// slice (inlined), rng draws come from the concrete frand generator, and
+// state: queue lengths and backlogs are read straight off the dense
+// mirrors (inlined), rng draws come from the concrete frand generator, and
 // the indexed variants go straight to the min-trees without the
 // ArgminQueues type-assertion detour. Each picker must reproduce its
 // workload counterpart's rng consumption exactly — same draws, same
 // order — which TestPickersMatchWorkload pins picker by picker and the
-// loop equivalence tests pin end to end.
+// loop equivalence tests pin end to end. A user-supplied policy — and
+// every non-SQ(d) policy on a churn run — picks through ifacePick over
+// the farm view instead.
 //
 // pick is one indirect call per arrival (the pickers are held as this
 // interface); everything inside is concrete.
@@ -181,3 +188,68 @@ type randPick struct{ n int }
 
 //finitelb:hotpath
 func (pk randPick) pick(st *loopState) int { return st.fr.IntN(pk.n) }
+
+// farm is the workload.Queues view of the loop state that interface
+// pickers read; it also implements WorkQueues for work-aware policies and
+// the Argmin views when the matching min-index is on. Down servers are
+// masked here — worst-possible length and work — so length- and
+// work-scanning pickers route around them; the concrete pickers read the
+// true mirrors and never run on a degraded farm (see churnPick).
+type farm struct{ st *loopState }
+
+func (f farm) N() int { return len(f.st.qlen) }
+
+//finitelb:hotpath
+func (f farm) Len(i int) int {
+	if f.st.down != nil && f.st.down[i] {
+		return math.MaxInt32
+	}
+	return int(f.st.qlen[i])
+}
+
+//finitelb:hotpath
+func (f farm) Work(i int) float64 {
+	if f.st.down != nil && f.st.down[i] {
+		return math.Inf(1)
+	}
+	return f.st.workAt(i)
+}
+
+// ArgminLen implements workload.ArgminQueues when the length index is on.
+//
+//finitelb:hotpath
+func (f farm) ArgminLen(rng *rand.Rand) (int, bool) {
+	if f.st.lenTree == nil {
+		return 0, false
+	}
+	return f.st.lenTree.Argmin(rng), true
+}
+
+// ArgminWork implements workload.ArgminWorkQueues when the work index is on.
+//
+//finitelb:hotpath
+func (f farm) ArgminWork(rng *rand.Rand) (int, bool) {
+	if f.st.workTree == nil {
+		return 0, false
+	}
+	return f.st.workTree.Argmin(rng), true
+}
+
+// ifacePick adapts a workload.Picker to the loop. The view is boxed once
+// here; boxing it per Pick would be a conversion on the event path.
+type ifacePick struct {
+	pk workload.Picker
+	q  workload.Queues
+}
+
+//finitelb:hotpath
+func (p ifacePick) pick(st *loopState) int { return p.pk.Pick(st.std, p.q) }
+
+// adapterPicker builds the adapter for a policy.
+func (st *loopState) adapterPicker(pol workload.Policy) picker {
+	pk, err := pol.NewPicker(len(st.qlen))
+	if err != nil {
+		panic("sim: unresolved wiring: " + err.Error())
+	}
+	return ifacePick{pk: pk, q: farm{st}}
+}

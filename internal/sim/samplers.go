@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand/v2"
+
 	"finitelb/internal/frand"
 	"finitelb/internal/workload"
 )
@@ -13,7 +15,9 @@ import (
 // every law's sequence against the interface implementation, and the loop
 // equivalence tests pin whole runs. The samplers are value structs so the
 // generic loop stencils a dedicated instantiation per (arrival, service)
-// pair, turning every draw into a direct — mostly inlined — call.
+// pair, turning every draw into a direct — mostly inlined — call. A
+// user-supplied law rides the same loop behind ifaceArr/ifaceSvc, one
+// more instantiation whose draws go through the workload interface.
 
 // arrSampler is the generic constraint for interarrival samplers.
 type arrSampler interface {
@@ -88,3 +92,30 @@ func (s erlangSvc) sample(fr *frand.RNG) float64 {
 type paretoSvc struct{ p workload.BoundedPareto }
 
 func (s paretoSvc) sample(fr *frand.RNG) float64 { return s.p.Quantile(fr.Float64()) }
+
+// ifaceArr adapts a user-supplied arrival process: interarrivals come from
+// its workload.Source, drawing through the loop's own generator (std wraps
+// it), so a delegating implementation stays on the built-in's trajectory.
+type ifaceArr struct {
+	src workload.Source
+	std *rand.Rand
+}
+
+func (a ifaceArr) next(*frand.RNG) float64 { return a.src.Next(a.std) }
+
+// adapterArr builds the adapter for w's arrival process.
+func (st *loopState) adapterArr(w wiring) ifaceArr {
+	src, err := w.arrival.NewSource(w.rate)
+	if err != nil {
+		panic("sim: unresolved wiring: " + err.Error())
+	}
+	return ifaceArr{src: src, std: st.std}
+}
+
+// ifaceSvc adapts a user-supplied service law the same way.
+type ifaceSvc struct {
+	svc workload.Service
+	std *rand.Rand
+}
+
+func (s ifaceSvc) sample(*frand.RNG) float64 { return s.svc.Sample(s.std) }

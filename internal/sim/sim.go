@@ -19,8 +19,6 @@ import (
 	"math/rand/v2"
 
 	"finitelb/internal/engine"
-	"finitelb/internal/frand"
-	"finitelb/internal/minindex"
 	"finitelb/internal/sqd"
 	"finitelb/internal/stats"
 	"finitelb/internal/trace"
@@ -61,12 +59,6 @@ type Options struct {
 	// Σspeeds so ρ stays the system utilization.
 	Speeds []float64
 
-	// Tail selects the quantile estimator (TailSketch default). The choice
-	// never affects the rng draw sequence or the moment arithmetic — only
-	// how Result's quantiles are computed — so every run stays
-	// seed-deterministic under either estimator.
-	Tail TailEstimator
-
 	// Trace, when non-nil, wires the flight recorder into the event
 	// loop: sampled jobs get lifecycle spans (arrival/pick/enqueue/
 	// start/done with server, queue length seen, and tie count) in the
@@ -92,35 +84,17 @@ type Options struct {
 	// slow multiplies service durations starting after the event. While
 	// servers are down, SQ(d) samples among the survivors — the same
 	// degraded-mode law as internal/lb — so a crash of k of N at fixed
-	// offered load reproduces the (N−k, ρ·N/(N−k)) system. A churn run
-	// always executes on the interface loop; churn-free runs are
-	// untouched, bit-identical to their goldens. Churn cannot be
-	// combined with Trace.
+	// offered load reproduces the (N−k, ρ·N/(N−k)) system. The schedule
+	// is a third event source of the event loop, ahead of arrivals and
+	// completions at equal instants; until its first event fires a run is
+	// bit-identical to the churn-free one. Churn cannot be combined with
+	// Trace.
 	Churn *workload.Churn
 }
 
-// TailEstimator selects how a run estimates sojourn quantiles.
-type TailEstimator int
-
-const (
-	// TailSketch (the default) uses the mergeable relative-error quantile
-	// sketch: α=1% accuracy at any sojourn magnitude in O(KB) of state,
-	// with exact shard/replication merging.
-	TailSketch TailEstimator = iota
-	// TailHistogram uses the legacy fixed-width histogram (0.02 resolution
-	// up to 500 mean service times, values beyond counted in
-	// Result.Overflow). Kept for the bit-identity goldens captured before
-	// the sketch existed.
-	TailHistogram
-)
-
-// newSimStream builds the measurement stream for one replication with the
-// selected tail estimator; shapes here are the simulator's standard ones.
-func newSimStream(batchSize int64, tail TailEstimator) *stats.Stream {
-	if tail == TailHistogram {
-		// 0.02 service-time resolution up to 500 service times.
-		return stats.NewStream(batchSize, 0.02, 25_000)
-	}
+// newSimStream builds the measurement stream for one replication: the
+// simulator's standard sketch shape.
+func newSimStream(batchSize int64) *stats.Stream {
 	return stats.NewSketchStream(batchSize, stats.DefaultAlpha, stats.DefaultSketchBudget)
 }
 
@@ -163,9 +137,9 @@ type wiring struct {
 	// the event loop then draws each job's requirement at arrival and
 	// exposes per-server work through the workload.WorkQueues view.
 	workAware bool
-	// churn is the validated schedule (nil for churn-free runs, which
-	// keeps every existing path bit-identical); sqdD caches the SQ(d)
-	// policy's d for the degraded-mode live-set sampling (0 otherwise).
+	// churn is the validated schedule (nil for churn-free runs); sqdD
+	// caches the SQ(d) policy's d for the degraded-mode live-set sampling
+	// (0 otherwise).
 	churn []workload.ChurnEvent
 	sqdD  int
 }
@@ -232,15 +206,8 @@ type Result struct {
 	Jobs      int64   // measured jobs
 	MaxQueue  int     // largest queue length observed
 
-	// Sojourn quantiles: sketch-estimated within 1% relative error by
-	// default; histogram-estimated at 0.02 resolution under TailHistogram.
+	// Sojourn quantiles, sketch-estimated within 1% relative error.
 	P50, P95, P99 float64
-
-	// Overflow counts observations the tail estimator could not resolve:
-	// nonzero only under TailHistogram, where quantiles beyond 500 mean
-	// service times are silently clipped to the upper edge. The sketch has
-	// no ceiling and always reports 0.
-	Overflow int64
 }
 
 // String renders the result compactly.
@@ -341,7 +308,6 @@ func result(s *stats.Stream) Result {
 		P50:       s.Quantile(0.50),
 		P95:       s.Quantile(0.95),
 		P99:       s.Quantile(0.99),
-		Overflow:  s.Overflow(),
 	}
 }
 
@@ -369,7 +335,7 @@ func Run(p sqd.Params, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	if opts.Replications == 1 {
-		return result(runStream(p, w, opts.Jobs, opts.Warmup, opts.BatchSize, opts.Seed, opts.Tail, opts.Trace)), nil
+		return result(runStream(p, w, opts.Jobs, opts.Warmup, opts.BatchSize, opts.Seed, opts.Trace)), nil
 	}
 
 	r := int64(opts.Replications)
@@ -384,7 +350,7 @@ func Run(p sqd.Params, opts Options) (Result, error) {
 		if int64(i) < opts.Jobs%r {
 			jobs++
 		}
-		return runStream(p, w, jobs, opts.Warmup, opts.BatchSize, seeds[i], opts.Tail, opts.Trace), nil
+		return runStream(p, w, jobs, opts.Warmup, opts.BatchSize, seeds[i], opts.Trace), nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -396,279 +362,14 @@ func Run(p sqd.Params, opts Options) (Result, error) {
 	return result(merged), nil
 }
 
-// farm adapts the server slice to the dispatcher's workload.Queues view.
-// It also implements workload.WorkQueues for work-aware policies (LWL):
-// the event loop sets now to each arrival instant before the Pick, and
-// Work reports the server's time-to-drain at that instant — the
-// in-service remainder (completion − now, already in time units) plus the
-// queued not-yet-started requirements divided by the server's speed.
-type farm struct {
-	servers []server
-	speeds  []float64
-	now     float64
-
-	// Hierarchical min-indexes (nil below minindex.Threshold, or when the
-	// policy doesn't dispatch on a global argmin): lenTree tracks queue
-	// lengths for JSQ, workTree tracks backlog for LWL. The event loop
-	// calls note(i) after every state change of server i, so a pick is
-	// O(log N) instead of the O(N) scan that dominates large-N sweeps.
-	lenTree  *minindex.Seq
-	workTree *minindex.Seq
-
-	// Failure-domain state, allocated only for churn runs (nil slices on
-	// every churn-free path — zero cost beyond a nil check in Len/Work).
-	// down marks departed/crashed servers, downCnt counts them, live is
-	// the compact live-server list the degraded-mode SQ(d) samples from,
-	// and slow holds per-server service-duration multipliers (1 = none).
-	down    []bool
-	downCnt int
-	live    []int
-	slow    []float64
-}
-
-func (f *farm) N() int { return len(f.servers) }
-
-// Len reports a down server as worst-possible, so length-scanning
-// pickers route around it; the loop's next-alive probe is then only a
-// race-free backstop for policies that don't read lengths at all.
-func (f *farm) Len(i int) int {
-	if f.down != nil && f.down[i] {
-		return math.MaxInt32
-	}
-	return f.servers[i].length()
-}
-
-// note re-keys server i in whichever index is active. The workTree key is
-// pending/speed + completion — the absolute-time form of Work(i): among
-// busy servers "− now" is a common shift that argmin ignores, and an idle
-// server keys at 0, below every busy server's completion ≥ now ≥ 0.
-func (f *farm) note(i int) {
-	if f.down != nil && f.down[i] {
-		// Masked out of both indexes while down; restore re-keys.
-		if f.lenTree != nil {
-			f.lenTree.Update(i, math.Inf(1))
-		}
-		if f.workTree != nil {
-			f.workTree.Update(i, math.Inf(1))
-		}
-		return
-	}
-	s := &f.servers[i]
-	if f.lenTree != nil {
-		f.lenTree.Update(i, float64(s.length()))
-	}
-	if f.workTree != nil {
-		if s.length() == 0 {
-			f.workTree.Update(i, 0)
-		} else {
-			f.workTree.Update(i, s.pending/f.speeds[i]+s.completion)
-		}
-	}
-}
-
-// ArgminLen implements workload.ArgminQueues when the length index is on.
-func (f *farm) ArgminLen(rng *rand.Rand) (int, bool) {
-	if f.lenTree == nil {
-		return 0, false
-	}
-	return f.lenTree.Argmin(rng), true
-}
-
-// ArgminWork implements workload.ArgminWorkQueues when the work index is on.
-func (f *farm) ArgminWork(rng *rand.Rand) (int, bool) {
-	if f.workTree == nil {
-		return 0, false
-	}
-	return f.workTree.Argmin(rng), true
-}
-
-func (f *farm) Work(i int) float64 {
-	if f.down != nil && f.down[i] {
-		return math.Inf(1)
-	}
-	s := &f.servers[i]
-	if s.length() == 0 {
-		return 0
-	}
-	rem := s.completion - f.now
-	if rem < 0 {
-		rem = 0
-	}
-	return s.pending/f.speeds[i] + rem
-}
-
 // runStream runs one discrete-event stream. The wiring must have passed
-// resolve, so instantiating its pieces cannot fail. Every built-in
-// workload resolves onto the devirtualized typed loop (see loop.go);
-// exotic wirings — user implementations of the workload interfaces — run
-// the interface loop below. Both loops produce the same draw sequence for
-// the same wiring, which is what keeps the bit-identity regression tests
-// green (they pin each path against the same pre-workload goldens).
-func runStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, seed uint64, tail TailEstimator, rec *trace.Recorder) *stats.Stream {
-	res := newSimStream(batchSize, tail)
-	// Churn runs always take the interface loop: membership changes are
-	// control-plane-rare, and keeping them out of the typed loops keeps
-	// those loops — and their bit-identity goldens — untouched.
-	if len(w.churn) == 0 {
-		if tr := newTypedRunner(p, w, warmup, res, seed); tr != nil {
-			if rec != nil {
-				tr.st.tr = newSimTracer(rec, p.N)
-			}
-			tr.run(jobs)
-			return res
-		}
-	}
-
-	// frand is bit-identical to rand.NewPCG, so the fallback stream stays
-	// on the seed trajectory the goldens were captured from.
-	rng := rand.New(frand.New(seed, 0x5bd1e995))
-	servers := make([]server, p.N)
-	for i := range servers {
-		servers[i].init(w.workAware)
-	}
-	var str *simTracer
+// resolve, so instantiating its pieces cannot fail.
+func runStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, seed uint64, rec *trace.Recorder) *stats.Stream {
+	res := newSimStream(batchSize)
+	tr := newTypedRunner(p, w, warmup, res, seed)
 	if rec != nil {
-		str = newSimTracer(rec, p.N)
+		tr.st.tr = newSimTracer(rec, p.N)
 	}
-	_, heavy := w.service.(workload.BoundedPareto)
-	runInterfaceLoop(p, w, servers, newTrackerFor(p.N, heavy), rng, res, jobs, warmup, str)
+	tr.run(jobs)
 	return res
-}
-
-// runInterfaceLoop is the workload-agnostic event loop: identical
-// structure to the typed loop with the arrival source, dispatch picker,
-// service law, and speed factors drawn through the workload interfaces.
-//
-// Under a work-aware policy (wiring.workAware) each job's service
-// requirement is drawn at *arrival* instead of at service start — the
-// dispatcher must know the work it is about to place — and the farm view
-// additionally satisfies workload.WorkQueues, exposing each server's
-// outstanding work (queued requirements plus the in-service remainder) at
-// the current arrival instant. The draw *sequence* therefore differs from
-// the non-work-aware loop, but each job's requirement is the same i.i.d.
-// law, so all configurations remain distributionally identical.
-func runInterfaceLoop(p sqd.Params, w wiring, servers []server, trk *tracker, rng *rand.Rand, res *stats.Stream, jobs, warmup int64, tr *simTracer) {
-	src, err := w.arrival.NewSource(w.rate)
-	if err != nil {
-		panic("sim: unresolved wiring: " + err.Error())
-	}
-	picker, err := w.policy.NewPicker(p.N)
-	if err != nil {
-		panic("sim: unresolved wiring: " + err.Error())
-	}
-	// Box the farm view once; passing the struct would re-box (and heap
-	// allocate) on every Pick.
-	wf := &farm{servers: servers, speeds: w.speeds}
-	if len(w.churn) > 0 {
-		wf.down = make([]bool, p.N)
-		wf.slow = make([]float64, p.N)
-		for i := range wf.slow {
-			wf.slow[i] = 1
-		}
-		wf.rebuildLive()
-	}
-	if p.N >= minindex.Threshold {
-		// Sub-linear dispatch: global-argmin policies get a maintained
-		// min-index; below the threshold (and for O(d) policies) the
-		// reference scan wins. Selection changes the rng draw sequence,
-		// not the policy's law — results stay seed-deterministic.
-		switch w.policy.(type) {
-		case workload.JSQ:
-			wf.lenTree = minindex.NewSeq(p.N)
-		case workload.LWL:
-			wf.workTree = minindex.NewSeq(p.N)
-		}
-	}
-	indexed := wf.lenTree != nil || wf.workTree != nil
-	var queues workload.Queues = wf
-	svc, speeds := w.service, w.speeds
-
-	nextArrival := src.Next(rng)
-	var departed int64
-	churn := w.churn
-	ci := 0
-
-	for res.N() < jobs {
-		minC, minI := trk.min()
-		if ci < len(churn) && churn[ci].T <= minC && churn[ci].T <= nextArrival {
-			// Churn is the third event source, firing ahead of any
-			// arrival or completion at the same instant.
-			applyChurnSim(churn[ci], wf, trk, rng, svc, &w, picker, queues, res)
-			ci++
-			continue
-		}
-		if nextArrival <= minC {
-			now := nextArrival
-			nextArrival = now + src.Next(rng)
-			var best int
-			if w.workAware {
-				wf.now = now
-				req := svc.Sample(rng)
-				best = pickLive(rng, picker, queues, wf, w.sqdD)
-				sv := &servers[best]
-				sv.pushWork(now, req)
-				if sv.length() == 1 {
-					x := req / speeds[best]
-					if wf.slow != nil && wf.slow[best] != 1 {
-						x *= wf.slow[best]
-					}
-					sv.completion = now + x
-					trk.update(best, sv.completion)
-				} else {
-					sv.pending += req
-				}
-			} else {
-				best = pickLive(rng, picker, queues, wf, w.sqdD)
-				sv := &servers[best]
-				sv.push(now)
-				if sv.length() == 1 {
-					x := svc.Sample(rng) / speeds[best]
-					if wf.slow != nil && wf.slow[best] != 1 {
-						x *= wf.slow[best]
-					}
-					sv.completion = now + x
-					trk.update(best, sv.completion)
-				}
-			}
-			if indexed {
-				wf.note(best)
-			}
-			res.ObserveQueue(servers[best].length())
-			if tr != nil {
-				// Interface pickers don't report tie counts.
-				tr.onArrival(now, best, servers[best].length()-1, -1)
-			}
-			continue
-		}
-		sv := &servers[minI]
-		now := sv.completion
-		arrivedAt := sv.pop()
-		if sv.length() > 0 {
-			var req float64
-			if w.workAware {
-				req = sv.workFront()
-				sv.pending -= req
-			} else {
-				req = svc.Sample(rng)
-			}
-			x := req / speeds[minI]
-			if wf.slow != nil && wf.slow[minI] != 1 {
-				x *= wf.slow[minI]
-			}
-			sv.completion = now + x
-		} else {
-			sv.completion = math.Inf(1)
-		}
-		trk.update(minI, sv.completion)
-		if indexed {
-			wf.note(minI)
-		}
-		if tr != nil {
-			tr.onDeparture(now, minI)
-		}
-		departed++
-		if departed > warmup {
-			res.Add(now - arrivedAt)
-		}
-	}
 }

@@ -190,7 +190,7 @@ func TestRunReplicationsMatchSingleRunMoments(t *testing.T) {
 	if math.Abs(merged.MeanDelay-single.MeanDelay) > 5*(merged.HalfWidth+single.HalfWidth) {
 		t.Errorf("merged delay %v too far from single-stream %v", merged.MeanDelay, single.MeanDelay)
 	}
-	// Quantiles pool through the merged histogram; P50 of M/M/1 sojourn is
+	// Quantiles pool through the merged sketch; P50 of M/M/1 sojourn is
 	// ln(2)/(1−ρ) ≈ 2.31.
 	if wantP50 := math.Ln2 / (1 - p.Rho); math.Abs(merged.P50-wantP50) > 0.05*wantP50 {
 		t.Errorf("merged P50 %v, want ≈ %v", merged.P50, wantP50)

@@ -2,7 +2,7 @@ package sim
 
 import "finitelb/internal/trace"
 
-// simTracer adapts the event loops to the flight recorder
+// simTracer adapts the event loop to the flight recorder
 // (internal/trace). In model time the dispatch pipeline is
 // instantaneous — a job arrives, is picked, and lands in its queue at
 // the same instant — so Arrival = Picked = Enqueued = the arrival

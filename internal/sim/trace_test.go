@@ -12,9 +12,8 @@ import (
 
 // TestTraceOffBitIdentical pins the tentpole guarantee: attaching a
 // flight recorder never touches the rng draw sequence, so a traced run
-// produces exactly the Result of an untraced one — per wiring, on the
-// typed loop, the hand-inlined default loop, and the interface
-// fallback.
+// produces exactly the Result of an untraced one — per wiring, concrete
+// and behind the workload-interface adapter.
 func TestTraceOffBitIdentical(t *testing.T) {
 	p := sqd.Params{N: 12, D: 2, Rho: 0.85}
 	for name, opts := range map[string]Options{
@@ -176,10 +175,7 @@ func TestAllocFreeEventPathTraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize, opts.Tail), opts.Seed)
-		if tr == nil {
-			t.Fatalf("%s: wiring did not resolve onto the typed loop", name)
-		}
+		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize), opts.Seed)
 		rec := trace.New(trace.Config{Sample: 16, Seed: opts.Seed})
 		tr.st.tr = newSimTracer(rec, p.N)
 		jobs := int64(50_000)

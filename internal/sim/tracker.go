@@ -3,22 +3,12 @@ package sim
 import "math"
 
 // This file is the completion tracker — the structure the event loop
-// consults on every event for "which server finishes next, and when". It
-// replaces the former container/heap-based indexed binary heap, which
-// paid three interface dispatches (Less, Swap, and the heap.Fix driver)
-// per sift level and profiled at ~half of all event time at N ≥ 250.
-//
-// Four concrete contenders were built and measured (BenchmarkTracker;
-// numbers in doc.go "Simulator performance"):
+// consults on every event for "which server finishes next, and when".
+// Three concrete modes, selected by farm size and service law
+// (BenchmarkTracker; numbers in doc.go "Simulator performance"):
 //
 //   - linear: a flat id-indexed key array, min by strict scan. Wins only
 //     while all completions fit in a couple of cache lines (N ≤ 8).
-//   - heapTracker4: a concrete 4-ary indexed min-heap — no interfaces,
-//     sift loops inlined, branch-free four-child min, aligned child
-//     groups. ~4× the old container/heap cost... but a departure re-keys
-//     the *root*, and the sift-down that follows is a chain of loads
-//     each dependent on the previous level's comparison — serial memory
-//     latency the CPU cannot overlap.
 //   - tourTracker: a 4-ary tournament min-tree over fixed-position
 //     leaves, internal nodes caching their subtree's (key, id) winner —
 //     minindex.Seq's shape, carrying winner ids instead of tie counts
@@ -28,18 +18,17 @@ import "math"
 //     move, so an update repairs the fixed leaf→root path whose
 //     addresses are pure arithmetic in the leaf index — the loads
 //     overlap instead of chaining, and min+argmin is one root read.
-//     Beats the heap at every size above the linear cutoff.
 //   - calTracker (calendar.go): Brown's calendar queue, exact-min; wins
-//     the production slot by exploiting the loops' monotone re-key
-//     pattern for amortized O(1) updates. See its own comment.
+//     at large N by exploiting the loop's monotone re-key pattern for
+//     amortized O(1) updates. See its own comment.
 //
 // Shared tricks: keys are the raw IEEE-754 bits of the (nonnegative)
 // completion times, so every comparison is an integer op and the
 // four-way min is computed branch-free with sign-mask selects — on
 // queueing workloads those comparisons are coin flips, and their
-// mispredictions were as expensive as the old interface dispatch. The
-// root lives at slot 3 so four-node child groups start on 64-byte
-// boundaries: one cache line per level.
+// mispredictions cost as much as an interface dispatch. The root lives at
+// slot 3 so four-node child groups start on 64-byte boundaries: one cache
+// line per level.
 
 // tnode packs a completion time (as raw nonnegative-float bits) with its
 // server id; the pad keeps the stride a power of two so slot addressing
@@ -81,9 +70,6 @@ type tracker struct {
 	n     int          // real entries
 }
 
-// newTracker picks the mode for a light-tailed (or unknown) law.
-func newTracker(n int) *tracker { return newTrackerFor(n, false) }
-
 // newTrackerFor picks the tracker mode for a farm of n servers whose
 // completion keys are heavy-tailed or not.
 func newTrackerFor(n int, heavyTail bool) *tracker {
@@ -106,6 +92,7 @@ func newTrackerFor(n int, heavyTail bool) *tracker {
 // idle (all +Inf) the id is −1 (linear, calendar) or an arbitrary idle
 // leaf (tree modes); the event loop never reads the id in that case
 // because the next arrival always precedes +Inf.
+//
 //finitelb:hotpath
 func (k *tracker) min() (float64, int) {
 	if k.tour != nil {
@@ -126,6 +113,7 @@ func (k *tracker) min() (float64, int) {
 // update sets server id's pending completion time. t must be nonnegative
 // (it is an absolute event time) or +Inf; the bit-pattern key order
 // depends on it.
+//
 //finitelb:hotpath
 func (k *tracker) update(id int, t float64) {
 	if k.tour != nil {
@@ -139,16 +127,12 @@ func (k *tracker) update(id int, t float64) {
 	k.nodes[id].tb = math.Float64bits(t)
 }
 
-// tourTracker is the 4-ary tournament min-tree contender: minindex.Seq's
-// shape carrying winner ids instead of tie counts (the tracker needs the
-// argmin's identity, not tie uniformity). Keys never move, so an update
-// repairs the fixed leaf→root path whose addresses are pure arithmetic
-// in the leaf index, and min+argmin is one root read. It beat the heap
-// at every size but lost the production slot to the calendar queue,
-// whose amortized O(1) needs only the monotone re-key pattern the event
-// loops guarantee; the tree remains the strongest general-purpose
-// (arbitrary decrease-key) option, and BenchmarkTracker tracks all of
-// them.
+// tourTracker is the 4-ary tournament min-tree (see the file comment). It
+// loses the large-N slot to the calendar queue, whose amortized O(1)
+// needs only the monotone re-key pattern the event loop guarantees, but
+// its cost does not depend on how far ahead a key lies — so heavy-tailed
+// laws, whose deep keys defeat the calendar's window sweep, stay on it at
+// every size.
 type tourTracker struct {
 	// nodes: the implicit 4-ary tree — internal winners in
 	// [rootSlot, leafBase), leaves (padded to a power of four with +Inf)
@@ -182,6 +166,7 @@ func newTourTracker(n int) *tourTracker {
 // at slot c, first child winning ties (branches are fine here: it is
 // only used during construction; the hot path inlines the branch-free
 // version).
+//
 //finitelb:hotpath
 func min4(nodes []tnode, c int) tnode {
 	w := nodes[c]
@@ -200,6 +185,7 @@ func (k *tourTracker) min() (float64, int) {
 
 // update sets server id's key and repairs the fixed leaf→root path,
 // stopping as soon as an ancestor's (key, id) winner is unchanged.
+//
 //finitelb:hotpath
 func (k *tourTracker) update(id int, t float64) {
 	tb := math.Float64bits(t)
@@ -231,101 +217,4 @@ func (k *tourTracker) update(id int, t float64) {
 		nodes[p].id = wi
 		j = p
 	}
-}
-
-// heapTracker4 is the 4-ary indexed min-heap contender, kept concrete
-// and fully tested: BenchmarkTracker records why the tournament tree won
-// (the heap's sift-down is a serially dependent load chain; the tree's
-// repair path is address-computable up front), and the equivalence tests
-// hold both to the retired container/heap implementation.
-type heapTracker4 struct {
-	nodes []tnode // heap slots [rootSlot, rootSlot+n) plus 4 sentinels
-	pos   []int32 // server id → heap slot
-	n     int
-}
-
-func newHeapTracker4(n int) *heapTracker4 {
-	trk := &heapTracker4{nodes: make([]tnode, rootSlot+n+4), n: n, pos: make([]int32, n)}
-	for i := range trk.nodes {
-		trk.nodes[i] = tnode{tb: infBits, id: int32(i - rootSlot)}
-	}
-	for i := range trk.pos {
-		trk.pos[i] = int32(rootSlot + i)
-	}
-	return trk
-}
-
-//finitelb:hotpath
-func (k *heapTracker4) min() (float64, int) {
-	return math.Float64frombits(k.nodes[rootSlot].tb), int(k.nodes[rootSlot].id)
-}
-
-//finitelb:hotpath
-func (k *heapTracker4) update(id int, t float64) {
-	tb := math.Float64bits(t)
-	i := int(k.pos[id])
-	k.nodes[i].tb = tb
-	if !k.up(i) {
-		k.down(i)
-	}
-}
-
-// up sifts slot i toward the root, moving displaced nodes down in its
-// wake (hole insertion, one write per level instead of a swap). It
-// reports whether the node moved.
-//finitelb:hotpath
-func (k *heapTracker4) up(i int) bool {
-	nodes := k.nodes
-	node := nodes[i]
-	start := i
-	for i > rootSlot {
-		p := ((i - 4) >> 2) + rootSlot
-		if nodes[p].tb <= node.tb {
-			break
-		}
-		nodes[i] = nodes[p]
-		k.pos[nodes[i].id] = int32(i)
-		i = p
-	}
-	if i == start {
-		return false
-	}
-	nodes[i] = node
-	k.pos[node.id] = int32(i)
-	return true
-}
-
-// down sifts slot i toward the leaves: per level one aligned line of
-// four children (the array carries four +Inf sentinels so the scan is
-// always full width), a branch-free min, a single continue/stop branch.
-//finitelb:hotpath
-func (k *heapTracker4) down(i int) {
-	nodes := k.nodes
-	end := rootSlot + k.n
-	node := nodes[i]
-	for {
-		c := 4*i - 8
-		if c >= end {
-			break
-		}
-		ch := nodes[c : c+4 : c+4]
-		t0, t1, t2, t3 := ch[0].tb, ch[1].tb, ch[2].tb, ch[3].tb
-		d := uint64((int64(t1) - int64(t0)) >> 63)
-		v01 := t0 ^ ((t0 ^ t1) & d)
-		m01 := c + int(d&1)
-		d = uint64((int64(t3) - int64(t2)) >> 63)
-		v23 := t2 ^ ((t2 ^ t3) & d)
-		m23 := c + 2 + int(d&1)
-		d = uint64((int64(v23) - int64(v01)) >> 63)
-		mt := v01 ^ ((v01 ^ v23) & d)
-		m := m01 ^ ((m01 ^ m23) & int(d))
-		if node.tb <= mt {
-			break
-		}
-		nodes[i] = nodes[m]
-		k.pos[nodes[i].id] = int32(i)
-		i = m
-	}
-	nodes[i] = node
-	k.pos[node.id] = int32(i)
 }

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The retired trackers live on here as reference oracles: the 4-ary heap
-// must agree with both on every (min, update) sequence. refHeapTracker is
-// the pre-overhaul container/heap binary heap verbatim; refLinearTracker
-// is the pre-overhaul scan.
+// The retired trackers live on here as reference oracles: the shipped
+// tracker must agree with both on every (min, update) sequence.
+// refHeapTracker is the pre-overhaul container/heap binary heap verbatim;
+// refLinearTracker is the pre-overhaul scan.
 
 type refHeapTracker struct {
 	times []float64
@@ -72,13 +72,12 @@ func (l *refLinearTracker) min() (float64, int) {
 // so ties (where the implementations may legitimately order differently)
 // have probability zero; sizes straddle every structural boundary:
 // singleton, the linearCutoff crossover (8/9 by the new constant, 16/17
-// by the old one), the first multi-level 4-ary heaps, and a large farm.
+// by the old one), the first multi-level 4-ary trees, and a large farm.
 func TestTrackerMatchesReferences(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 9, 16, 17, 64, 1000} {
 		rng := rand.New(rand.NewPCG(uint64(n), 0xabcdef))
-		subject := newTracker(n)
-		tour := newTourTracker(n)    // exercise tree mode below the cutoff too
-		forced := newHeapTracker4(n) // the heap contender at every size
+		subject := newTrackerFor(n, false)
+		tour := newTourTracker(n) // exercise tree mode below the cutoff too
 		refH := newRefHeapTracker(n)
 		refL := &refLinearTracker{completion: make([]float64, n)}
 		for i := range refL.completion {
@@ -112,25 +111,23 @@ func TestTrackerMatchesReferences(t *testing.T) {
 			}
 			subject.update(id, tm)
 			tour.update(id, tm)
-			forced.update(id, tm)
 			refH.update(id, tm)
 			refL.update(id, tm)
 
 			st, si := subject.min()
 			tt, ti := tour.min()
-			ft, fi := forced.min()
 			ht, hi := refH.min()
 			lt, li := refL.min()
 			if busy == 0 {
 				// All idle: times agree at +Inf, ids are unspecified.
-				if !math.IsInf(st, 1) || !math.IsInf(ht, 1) || !math.IsInf(lt, 1) || !math.IsInf(ft, 1) || !math.IsInf(tt, 1) {
+				if !math.IsInf(st, 1) || !math.IsInf(ht, 1) || !math.IsInf(lt, 1) || !math.IsInf(tt, 1) {
 					t.Fatalf("N=%d step %d: idle farm with finite min", n, step)
 				}
 				continue
 			}
-			if st != ht || st != lt || st != ft || st != tt || si != hi || si != li || si != fi || si != ti {
-				t.Fatalf("N=%d step %d: trackers disagree: subject (%v,%d) tour (%v,%d) heap4 (%v,%d) heap2 (%v,%d) linear (%v,%d)",
-					n, step, st, si, tt, ti, ft, fi, ht, hi, lt, li)
+			if st != ht || st != lt || st != tt || si != hi || si != li || si != ti {
+				t.Fatalf("N=%d step %d: trackers disagree: subject (%v,%d) tour (%v,%d) heap2 (%v,%d) linear (%v,%d)",
+					n, step, st, si, tt, ti, ht, hi, lt, li)
 			}
 		}
 	}
@@ -141,7 +138,7 @@ func TestTrackerMatchesReferences(t *testing.T) {
 // always wins the time race.
 func TestTrackerAllIdleReportsInf(t *testing.T) {
 	for _, n := range []int{1, linearCutoff, linearCutoff + 1, 100} {
-		tm, _ := newTracker(n).min()
+		tm, _ := newTrackerFor(n, false).min()
 		if !math.IsInf(tm, 1) {
 			t.Errorf("N=%d: fresh tracker min = %v, want +Inf", n, tm)
 		}

@@ -15,6 +15,17 @@ import (
 // expected Results were captured from the serial simulator at commit
 // 0e55776, immediately before the event loop was rewired through
 // internal/workload.
+//
+// One documented re-pin: the P50/P95/P99 triples were captured on the
+// fixed-width histogram that commit estimated quantiles with (0.02
+// resolution); when the histogram was deleted they were re-pinned, once,
+// to the quantile sketch's estimates of the same sojourn stream — each
+// within α = 1% + one bin of the histogram value it replaced (N=4: 1.3557
+// → 1.3634, 5.2984 → 5.3122, 7.8667 → 7.9250; N=1: 3.4063 → 3.4212,
+// 14.604 → 14.732, 21.78 → 21.978; N=32: 1.7707 → 1.7682, 5.5867 →
+// 5.6407, 7.9371 → 7.9250). MeanDelay, MeanWait, HalfWidth, Jobs and
+// MaxQueue are the commit-0e55776 values, untouched: the draws have not
+// moved.
 func TestDefaultWorkloadBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		p    sqd.Params
@@ -22,33 +33,27 @@ func TestDefaultWorkloadBitIdentical(t *testing.T) {
 		seed uint64
 		want Result
 	}{
-		{sqd.Params{N: 4, D: 2, Rho: 0.7}, 30000, 9, Result{MeanDelay: 1.850486885419509, MeanWait: 0.8504868854195089, HalfWidth: 0.07657645044379735, Jobs: 30000, MaxQueue: 9, P50: 1.355672514619883, P95: 5.2984, P99: 7.866666666666666}},
-		{sqd.Params{N: 1, D: 1, Rho: 0.8}, 30000, 3, Result{MeanDelay: 4.827190951294011, MeanWait: 3.8271909512940114, HalfWidth: 0.39756853579283563, Jobs: 30000, MaxQueue: 34, P50: 3.406265060240964, P95: 14.604000000000001, P99: 21.78}},
-		{sqd.Params{N: 32, D: 3, Rho: 0.9}, 30000, 5, Result{MeanDelay: 2.1811708885589995, MeanWait: 1.1811708885589995, HalfWidth: 0.06962070271109749, Jobs: 30000, MaxQueue: 7, P50: 1.770748299319728, P95: 5.586666666666666, P99: 7.937142857142857}},
+		{sqd.Params{N: 4, D: 2, Rho: 0.7}, 30000, 9, Result{MeanDelay: 1.850486885419509, MeanWait: 0.8504868854195089, HalfWidth: 0.07657645044379735, Jobs: 30000, MaxQueue: 9, P50: 1.3633710301119657, P95: 5.312197904013204, P99: 7.924973703917026}},
+		{sqd.Params{N: 1, D: 1, Rho: 0.8}, 30000, 3, Result{MeanDelay: 4.827190951294011, MeanWait: 3.8271909512940114, HalfWidth: 0.39756853579283563, Jobs: 30000, MaxQueue: 34, P50: 3.421198745225559, P95: 14.732260330942466, P99: 21.978242872648963}},
+		{sqd.Params{N: 32, D: 3, Rho: 0.9}, 30000, 5, Result{MeanDelay: 2.1811708885589995, MeanWait: 1.1811708885589995, HalfWidth: 0.06962070271109749, Jobs: 30000, MaxQueue: 7, P50: 1.7682122335998576, P95: 5.640697159022844, P99: 7.924973703917026}},
 	} {
 		// Three routes to the same bits: everything defaulted, the default
 		// pieces spelled out explicitly, and an explicit all-ones speed
-		// vector. All three now resolve onto the specialized default loop
-		// (the speed vector historically forced the interface loop, which
-		// is pinned to the same draws by TestTypedLoopMatchesInterfaceLoop
-		// and TestExoticWiringFallsBack); the third route keeps the
-		// division-by-speed arm on the golden trajectory. TailHistogram
-		// pins the quantile estimator the goldens were captured with (the
-		// sketch default changes only the P* fields, never the draws — the
-		// sketch-route check below proves that).
+		// vector, which keeps the division-by-speed arm on the golden
+		// trajectory.
 		explicit := Options{
-			Jobs: tc.jobs, Seed: tc.seed, Tail: TailHistogram,
+			Jobs: tc.jobs, Seed: tc.seed,
 			Arrival: workload.Poisson{},
 			Service: workload.Exponential{},
 			Policy:  workload.SQD{D: tc.p.D},
 			Speeds:  nil,
 		}
-		unitSpeeds := Options{Jobs: tc.jobs, Seed: tc.seed, Tail: TailHistogram, Speeds: make([]float64, tc.p.N)}
+		unitSpeeds := Options{Jobs: tc.jobs, Seed: tc.seed, Speeds: make([]float64, tc.p.N)}
 		for i := range unitSpeeds.Speeds {
 			unitSpeeds.Speeds[i] = 1
 		}
 		for name, opts := range map[string]Options{
-			"defaulted":       {Jobs: tc.jobs, Seed: tc.seed, Tail: TailHistogram},
+			"defaulted":       {Jobs: tc.jobs, Seed: tc.seed},
 			"explicit":        explicit,
 			"explicit-speeds": unitSpeeds,
 		} {
@@ -57,30 +62,8 @@ func TestDefaultWorkloadBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != tc.want {
-				t.Errorf("N=%d d=%d seed=%d (%s): result drifted from pre-workload simulator:\ngot  %+v\nwant %+v",
+				t.Errorf("N=%d d=%d seed=%d (%s): result drifted from pre-workload simulator:\ngot  %#v\nwant %#v",
 					tc.p.N, tc.p.D, tc.seed, name, got, tc.want)
-			}
-		}
-
-		// The default (sketch) estimator must ride the exact same draw
-		// trajectory: every non-quantile field bit-equal to the golden, and
-		// the sketch quantiles within α of the histogram's 0.02-resolution
-		// estimates.
-		sk, err := Run(tc.p, Options{Jobs: tc.jobs, Seed: tc.seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotDraws, wantDraws := sk, tc.want
-		gotDraws.P50, gotDraws.P95, gotDraws.P99 = 0, 0, 0
-		wantDraws.P50, wantDraws.P95, wantDraws.P99 = 0, 0, 0
-		if gotDraws != wantDraws {
-			t.Errorf("N=%d d=%d seed=%d (sketch): draws drifted from golden:\ngot  %+v\nwant %+v",
-				tc.p.N, tc.p.D, tc.seed, gotDraws, wantDraws)
-		}
-		for _, pair := range [][2]float64{{sk.P50, tc.want.P50}, {sk.P95, tc.want.P95}, {sk.P99, tc.want.P99}} {
-			if math.Abs(pair[0]-pair[1]) > 0.011*pair[1]+0.021 { // α rel + histogram bin width
-				t.Errorf("N=%d d=%d seed=%d: sketch quantile %v too far from histogram golden %v",
-					tc.p.N, tc.p.D, tc.seed, pair[0], pair[1])
 			}
 		}
 	}

@@ -10,8 +10,7 @@ import (
 // configured accuracy α. Observations land in log-spaced buckets — bucket
 // i covers (γ^(i−1), γ^i] with γ = (1+α)/(1−α) — so the state needed for
 // accurate p99/p999 is a few KB regardless of the observation range or
-// stream length, where the fixed-width Histogram needs 200 KB to cover
-// 500 mean service times and silently clips beyond that.
+// stream length, with no range to configure and nothing clipped.
 //
 // The sketch is exactly mergeable: Merge folds another sketch bucket by
 // bucket, and because collapsing is canonical (see below) the merged
@@ -37,7 +36,7 @@ import (
 // worst-case memory bound, not an expected mode.
 //
 // Values below sketchMinValue (and exact zeros) are counted in a separate
-// zero bucket. Negative and NaN observations panic as in Histogram.
+// zero bucket. Negative and NaN observations panic.
 // A Sketch is not safe for concurrent use; accumulate per goroutine and
 // Merge, exactly like Stream.
 type Sketch struct {
@@ -91,7 +90,7 @@ func NewSketch(alpha float64, budget int) *Sketch {
 }
 
 // Add records one observation; negative values and NaN panic (sojourns
-// can't be). This is the per-departure accumulator of the event loops.
+// can't be). This is the per-departure accumulator of the event loop.
 //
 //finitelb:hotpath
 func (s *Sketch) Add(x float64) {

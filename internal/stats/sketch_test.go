@@ -156,8 +156,8 @@ func TestSketchMergeNoCollapse(t *testing.T) {
 }
 
 // TestSketchExtremeValues: the sketch has no range ceiling — enormous
-// observations that overflow the fixed histogram's int conversion must
-// be recorded accurately, and sub-resolution values land in the zero
+// observations (beyond what an int conversion holds) must be recorded
+// accurately, and sub-resolution values land in the zero
 // bucket.
 func TestSketchExtremeValues(t *testing.T) {
 	sk := NewSketch(DefaultAlpha, DefaultSketchBudget)

@@ -1,10 +1,5 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
-
 // Stream bundles the accumulators of one sojourn-time measurement stream:
 // running moments (Welford), a batch-means confidence interval, a tail
 // estimator, and the largest queue length observed. It is the shared
@@ -15,34 +10,17 @@ import (
 // directly comparable. Streams are not safe for concurrent use; accumulate
 // per goroutine and Merge.
 //
-// The tail estimator is exactly one of Hist (fixed-width Histogram, the
-// legacy shape the bit-identity goldens were captured with) or Sketch (the
-// mergeable relative-error quantile sketch, the default everywhere new).
-// Which one is active never changes the moment/batch arithmetic — only how
-// Quantile answers.
+// The tail estimator is the mergeable relative-error quantile sketch.
 type Stream struct {
 	Sojourns Welford
 	Batch    *BatchMeans
-	Hist     *Histogram
 	Sketch   *Sketch
 	MaxQueue int
 }
 
-// NewStream creates a stream with the given batch size for the confidence
-// interval and a fixed-width quantile histogram of bins buckets of the
-// given width. This is the legacy constructor kept for the golden tests;
-// new call sites want NewSketchStream.
-func NewStream(batchSize int64, binWidth float64, bins int) *Stream {
-	return &Stream{
-		Batch: NewBatchMeans(batchSize),
-		Hist:  NewHistogram(binWidth, bins),
-	}
-}
-
-// NewSketchStream creates a stream whose tail estimator is a mergeable
-// quantile sketch with relative accuracy alpha and at most budget
-// buckets — O(KB) of state with no upper range limit, against the
-// histogram's 200 KB and hard 500-service-time ceiling.
+// NewSketchStream creates a stream with the given batch size for the
+// confidence interval and a quantile sketch with relative accuracy alpha
+// and at most budget buckets — O(KB) of state with no upper range limit.
 func NewSketchStream(batchSize int64, alpha float64, budget int) *Stream {
 	return &Stream{
 		Batch:  NewBatchMeans(batchSize),
@@ -54,11 +32,7 @@ func NewSketchStream(batchSize int64, alpha float64, budget int) *Stream {
 func (s *Stream) Add(sojourn float64) {
 	s.Batch.Add(sojourn)
 	s.Sojourns.Add(sojourn)
-	if s.Sketch != nil {
-		s.Sketch.Add(sojourn)
-	} else {
-		s.Hist.Add(sojourn)
-	}
+	s.Sketch.Add(sojourn)
 }
 
 // AddBatch records a block of observations, equivalent to calling Add on
@@ -66,26 +40,13 @@ func (s *Stream) Add(sojourn float64) {
 // but amortizing the per-observation call chain: the simulator's event
 // loop buffers measured sojourns on its stack and flushes them in blocks,
 // which keeps the accumulator objects out of the per-event working set.
-// The loop body is Add's, hand-fused for the histogram arm (same package,
-// same fields, same operation order — bit-identical accumulator states);
-// the sketch's Add is already a leaf call.
+// The batch-means step is BatchMeans.Add's, hand-fused (same package, same
+// fields, same operation order — bit-identical accumulator states); the
+// sketch's Add is already a leaf call.
 //
 //finitelb:hotpath
 func (s *Stream) AddBatch(xs []float64) {
-	b := s.Batch
-	if sk := s.Sketch; sk != nil {
-		for _, x := range xs {
-			b.cur.Add(x)
-			if b.cur.n == b.batchSize {
-				b.batches.Add(b.cur.Mean())
-				b.cur = Welford{}
-			}
-			s.Sojourns.Add(x)
-			sk.Add(x)
-		}
-		return
-	}
-	h := s.Hist
+	b, sk := s.Batch, s.Sketch
 	for _, x := range xs {
 		b.cur.Add(x)
 		if b.cur.n == b.batchSize {
@@ -93,28 +54,8 @@ func (s *Stream) AddBatch(xs []float64) {
 			b.cur = Welford{}
 		}
 		s.Sojourns.Add(x)
-		if x < 0 || math.IsNaN(x) {
-			s.badObservation(x)
-		}
-		h.n++
-		if x > h.max {
-			h.max = x
-		}
-		if x >= h.limit {
-			h.overflow++
-			continue
-		}
-		if i := int(x / h.width); i < len(h.bins) {
-			h.bins[i]++
-		} else {
-			h.overflow++
-		}
+		sk.Add(x)
 	}
-}
-
-// badObservation is AddBatch's cold panic exit (finitelint hotpath).
-func (s *Stream) badObservation(x float64) {
-	panic(fmt.Sprintf("stats: invalid histogram observation %v", x))
 }
 
 // ObserveQueue records a queue length; only the running maximum is kept.
@@ -127,53 +68,23 @@ func (s *Stream) ObserveQueue(l int) {
 // N returns the number of sojourns recorded.
 func (s *Stream) N() int64 { return s.Sojourns.N() }
 
-// Quantile estimates the q-quantile of the sojourn stream through
-// whichever tail estimator the stream carries.
-func (s *Stream) Quantile(q float64) float64 {
-	if s.Sketch != nil {
-		return s.Sketch.Quantile(q)
-	}
-	return s.Hist.Quantile(q)
-}
-
-// Overflow returns the number of observations the tail estimator could
-// not resolve: the histogram's beyond-range count, which silently clips
-// high quantiles to the upper edge. Sketch streams have no range ceiling
-// and always return 0.
-func (s *Stream) Overflow() int64 {
-	if s.Hist != nil {
-		return s.Hist.Overflow()
-	}
-	return 0
-}
+// Quantile estimates the q-quantile of the sojourn stream.
+func (s *Stream) Quantile(q float64) float64 { return s.Sketch.Quantile(q) }
 
 // StateBytes returns the approximate in-memory footprint of the stream's
-// accumulators — in practice the tail estimator, which dominates.
+// accumulators — in practice the sketch, which dominates.
 func (s *Stream) StateBytes() int {
-	b := 128 // Welford + BatchMeans + header
-	if s.Hist != nil {
-		b += s.Hist.StateBytes()
-	}
-	if s.Sketch != nil {
-		b += s.Sketch.StateBytes()
-	}
-	return b
+	return 128 + s.Sketch.StateBytes() // Welford + BatchMeans + header
 }
 
 // Merge folds another stream into s, pooling moments, batch means, and
-// tail-estimator state exactly as if s had also seen o's observations (up
-// to o's partial trailing batch, which is discarded as in a single-stream
-// run). Batch sizes and tail-estimator configurations must match.
+// sketch state exactly as if s had also seen o's observations (up to o's
+// partial trailing batch, which is discarded as in a single-stream run).
+// Batch sizes and sketch configurations must match.
 func (s *Stream) Merge(o *Stream) {
 	s.Sojourns.Merge(o.Sojourns)
 	s.Batch.Merge(o.Batch)
-	if s.Sketch != nil && o.Sketch != nil {
-		s.Sketch.Merge(o.Sketch)
-	} else if s.Hist != nil && o.Hist != nil {
-		s.Hist.Merge(o.Hist)
-	} else {
-		panic("stats: merging streams with different tail estimators")
-	}
+	s.Sketch.Merge(o.Sketch)
 	if o.MaxQueue > s.MaxQueue {
 		s.MaxQueue = o.MaxQueue
 	}

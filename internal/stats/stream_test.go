@@ -6,58 +6,13 @@ import (
 	"testing"
 )
 
-// TestStreamMergeMatchesSingleStream: merging shard streams must pool
-// moments and histogram counts exactly as one stream seeing all
-// observations (batch means agree when shards complete whole batches).
-func TestStreamMergeMatchesSingleStream(t *testing.T) {
+// shardedStreams feeds one exponential stream to a whole-stream
+// accumulator and, alternating whole batches so both slicings complete the
+// same batch set, to two shards; it returns the whole stream and the
+// merged shards.
+func shardedStreams() (whole, merged *Stream) {
 	const batch = 50
-	whole := NewStream(batch, 0.1, 1000)
-	a := NewStream(batch, 0.1, 1000)
-	b := NewStream(batch, 0.1, 1000)
-	rng := rand.New(rand.NewPCG(5, 9))
-	for i := 0; i < 40*batch; i++ {
-		x := rng.ExpFloat64()
-		whole.Add(x)
-		// Alternate whole batches between the shards so both slicings
-		// complete the same batch set.
-		if (i/batch)%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.ObserveQueue(3)
-	b.ObserveQueue(7)
-	a.Merge(b)
-
-	if a.N() != whole.N() {
-		t.Fatalf("merged N %d, want %d", a.N(), whole.N())
-	}
-	if math.Abs(a.Sojourns.Mean()-whole.Sojourns.Mean()) > 1e-12 {
-		t.Errorf("merged mean %v, want %v", a.Sojourns.Mean(), whole.Sojourns.Mean())
-	}
-	if math.Abs(a.Sojourns.Variance()-whole.Sojourns.Variance()) > 1e-9 {
-		t.Errorf("merged variance %v, want %v", a.Sojourns.Variance(), whole.Sojourns.Variance())
-	}
-	if a.Batch.Batches() != whole.Batch.Batches() {
-		t.Errorf("merged %d batches, want %d", a.Batch.Batches(), whole.Batch.Batches())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := a.Hist.Quantile(q), whole.Hist.Quantile(q); got != want {
-			t.Errorf("merged q%.2f = %v, want %v", q, got, want)
-		}
-	}
-	if a.MaxQueue != 7 {
-		t.Errorf("merged max queue %d, want 7", a.MaxQueue)
-	}
-}
-
-// TestSketchStreamMergeMatchesSingleStream is the sketch-mode twin of the
-// test above, with a stronger tail claim: sketch quantiles of the merged
-// shards equal the whole-stream quantiles exactly, not just bucket-wise.
-func TestSketchStreamMergeMatchesSingleStream(t *testing.T) {
-	const batch = 50
-	whole := NewSketchStream(batch, DefaultAlpha, DefaultSketchBudget)
+	whole = NewSketchStream(batch, DefaultAlpha, DefaultSketchBudget)
 	a := NewSketchStream(batch, DefaultAlpha, DefaultSketchBudget)
 	b := NewSketchStream(batch, DefaultAlpha, DefaultSketchBudget)
 	rng := rand.New(rand.NewPCG(5, 9))
@@ -70,23 +25,43 @@ func TestSketchStreamMergeMatchesSingleStream(t *testing.T) {
 			b.Add(x)
 		}
 	}
+	a.ObserveQueue(3)
+	b.ObserveQueue(7)
 	a.Merge(b)
+	return whole, a
+}
+
+// TestStreamMergeMatchesSingleStream: merging shard streams must pool
+// moments, batch means (shards complete whole batches) and the queue
+// maximum as one stream seeing all observations would.
+func TestStreamMergeMatchesSingleStream(t *testing.T) {
+	whole, a := shardedStreams()
 	if a.N() != whole.N() {
 		t.Fatalf("merged N %d, want %d", a.N(), whole.N())
 	}
 	if math.Abs(a.Sojourns.Mean()-whole.Sojourns.Mean()) > 1e-12 {
 		t.Errorf("merged mean %v, want %v", a.Sojourns.Mean(), whole.Sojourns.Mean())
 	}
+	if math.Abs(a.Sojourns.Variance()-whole.Sojourns.Variance()) > 1e-9 {
+		t.Errorf("merged variance %v, want %v", a.Sojourns.Variance(), whole.Sojourns.Variance())
+	}
 	if a.Batch.Batches() != whole.Batch.Batches() {
 		t.Errorf("merged %d batches, want %d", a.Batch.Batches(), whole.Batch.Batches())
 	}
+	if a.MaxQueue != 7 {
+		t.Errorf("merged max queue %d, want 7", a.MaxQueue)
+	}
+}
+
+// TestSketchStreamMergeMatchesSingleStream is the tail claim of the test
+// above: sketch quantiles of the merged shards equal the whole-stream
+// quantiles exactly, not just bucket-wise.
+func TestSketchStreamMergeMatchesSingleStream(t *testing.T) {
+	whole, a := shardedStreams()
 	for _, q := range []float64{0.5, 0.95, 0.99, 0.999} {
 		if got, want := a.Quantile(q), whole.Quantile(q); got != want {
 			t.Errorf("merged q%.3f = %v, want %v", q, got, want)
 		}
-	}
-	if a.Overflow() != 0 {
-		t.Errorf("sketch stream reported overflow %d", a.Overflow())
 	}
 }
 
@@ -115,15 +90,10 @@ func TestStreamAddBatchSketch(t *testing.T) {
 	}
 }
 
-// TestStreamStateBytes pins the memory story the recorder migration is
-// about: a sketch stream is two orders of magnitude smaller than the
-// 25k-bin histogram stream.
+// TestStreamStateBytes pins the memory story of the sketch estimator: a
+// stream is O(KB), which is what lets the live recorder shard per server.
 func TestStreamStateBytes(t *testing.T) {
-	hist := NewStream(100, 0.02, 25_000)
 	sk := NewSketchStream(100, DefaultAlpha, DefaultSketchBudget)
-	if hb := hist.StateBytes(); hb < 8*25_000 {
-		t.Errorf("histogram stream %d B, want ≥ 200 KB", hb)
-	}
 	if sb := sk.StateBytes(); sb > 16*1024 {
 		t.Errorf("sketch stream %d B, want O(KB)", sb)
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,6 +99,7 @@ func (c *Churn) String() string {
 // churnGrammar restates the accepted event shapes, so a malformed spec
 // is self-diagnosing (same convention as checkKeys).
 const churnGrammar = "grammar: KIND@t=T[@s=SERVER][@f=FACTOR][@d=DUR], events comma-separated, " +
+	"T finite ≥ 0, FACTOR and DUR finite > 0, " +
 	"kinds: crash, leave, restore|join, slow (needs f), stall (needs d), pause, resume; " +
 	"the bare first value binds to t (crash@500 ≡ crash@t=500)"
 
@@ -108,10 +110,11 @@ const churnGrammar = "grammar: KIND@t=T[@s=SERVER][@f=FACTOR][@d=DUR], events co
 //	"crash@500@s=2,slow@t=300@s=1@f=4"      bare first value is t
 //
 // Event arguments are @-separated (the comma separates events): t is the
-// event time in mean service times (required, ≥ 0), s the target server
+// event time in mean service times (required, finite, ≥ 0), s the target server
 // (optional; unassigned events are picked deterministically by
-// internal/chaos.Resolve), f the slow factor (> 0, slow only), d the
-// stall duration (> 0, stall only). Events are sorted by t, stably.
+// internal/chaos.Resolve), f the slow factor (finite, > 0, slow only), d
+// the stall duration (finite, > 0, stall only). Events are sorted by t,
+// stably.
 func ParseChurn(spec string) (*Churn, error) {
 	spec = strings.TrimSpace(spec)
 	spec = strings.TrimPrefix(spec, "churn:")
@@ -128,6 +131,14 @@ func ParseChurn(spec string) (*Churn, error) {
 	}
 	sort.SliceStable(c.Events, func(i, j int) bool { return c.Events[i].T < c.Events[j].T })
 	return &c, nil
+}
+
+// parseFinite parses a finite number. strconv.ParseFloat alone accepts
+// "inf" and "nan": an event at t=inf never fires and blocks every later
+// one, a server slowed by f=inf never completes.
+func parseFinite(val string) (float64, bool) {
+	x, err := strconv.ParseFloat(val, 64)
+	return x, err == nil && !math.IsInf(x, 0) && !math.IsNaN(x)
 }
 
 func parseChurnEvent(raw string) (ChurnEvent, error) {
@@ -168,9 +179,9 @@ func parseChurnEvent(raw string) (ChurnEvent, error) {
 		seen[key] = true
 		switch key {
 		case "t":
-			t, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(t >= 0) {
-				return ev, fmt.Errorf("t=%q is not a time ≥ 0", val)
+			t, ok := parseFinite(val)
+			if !ok || t < 0 {
+				return ev, fmt.Errorf("t=%q is not a finite time ≥ 0", val)
 			}
 			ev.T = t
 		case "s":
@@ -183,18 +194,18 @@ func parseChurnEvent(raw string) (ChurnEvent, error) {
 			if ev.Kind != ChurnSlow {
 				return ev, fmt.Errorf("argument f only applies to slow events")
 			}
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(f > 0) {
-				return ev, fmt.Errorf("f=%q is not a factor > 0", val)
+			f, ok := parseFinite(val)
+			if !ok || f <= 0 {
+				return ev, fmt.Errorf("f=%q is not a finite factor > 0", val)
 			}
 			ev.Factor = f
 		case "d":
 			if ev.Kind != ChurnStall {
 				return ev, fmt.Errorf("argument d only applies to stall events")
 			}
-			d, err := strconv.ParseFloat(val, 64)
-			if err != nil || !(d > 0) {
-				return ev, fmt.Errorf("d=%q is not a duration > 0", val)
+			d, ok := parseFinite(val)
+			if !ok || d <= 0 {
+				return ev, fmt.Errorf("d=%q is not a finite duration > 0", val)
 			}
 			ev.Dur = d
 		default:

@@ -85,6 +85,11 @@ func TestParseChurnErrors(t *testing.T) {
 		"crash@t=1@t=2",   // duplicate key
 		"slow@t=1",        // slow without factor
 		"slow@t=1@f=0",    // non-positive factor
+		"slow@t=1@f=inf",  // a server that never completes
+		"slow@t=1@f=nan",  // non-numeric factor, accepted by ParseFloat
+		"crash@t=inf",     // an event that never fires and blocks the rest
+		"crash@t=nan",     // NaN time
+		"stall@t=1@d=inf", // a stall that never ends
 		"stall@t=1",       // stall without duration
 		"crash@t=1@f=2",   // f on a non-slow event
 		"crash@t=1@d=2",   // d on a non-stall event

@@ -77,3 +77,43 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseChurn drives the churn-schedule parser: it must never panic,
+// and whatever it accepts is a schedule both engines can run — finite
+// nonnegative times in order, finite positive slow factors and stall
+// durations — whose canonical rendering parses back to the same events.
+func FuzzParseChurn(f *testing.F) {
+	f.Add("churn:crash@t=500,restore@t=900")
+	f.Add("join@900@s=3,slow@t=100@s=1@f=4,stall@200@d=50,crash@0")
+	f.Add("slow@t=1@f=inf,crash@t=inf,stall@t=1@d=nan")
+	f.Add("crash@1e400,slow@-0@f=1e-400")
+	f.Add("pause@1,resume@@,=@=")
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := ParseChurn(spec)
+		if err != nil || c == nil {
+			return
+		}
+		last := 0.0
+		for _, e := range c.Events {
+			if !(e.T >= last) || math.IsInf(e.T, 1) {
+				t.Fatalf("ParseChurn(%q) accepted event %v at time %v after %v", spec, e, e.T, last)
+			}
+			last = e.T
+			if e.Kind == ChurnSlow && (!(e.Factor > 0) || math.IsInf(e.Factor, 1)) {
+				t.Fatalf("ParseChurn(%q) accepted slow factor %v", spec, e.Factor)
+			}
+			if e.Kind == ChurnStall && (!(e.Dur > 0) || math.IsInf(e.Dur, 1)) {
+				t.Fatalf("ParseChurn(%q) accepted stall duration %v", spec, e.Dur)
+			}
+		}
+		again, err := ParseChurn(c.String())
+		if err != nil {
+			t.Fatalf("ParseChurn(%q) renders as %q, which does not parse: %v", spec, c, err)
+		}
+		for i, e := range c.Events {
+			if again.Events[i] != e {
+				t.Fatalf("ParseChurn(%q) event %d = %+v, re-parsed from %q as %+v", spec, i, e, c, again.Events[i])
+			}
+		}
+	})
+}
