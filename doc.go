@@ -182,7 +182,11 @@
 // quiescent point. The live LWL index keys on outstanding nominal work
 // (dispatch → completion, µs-quantized, speed-scaled) rather than the
 // scan view's decaying in-service remainder; the two orderings agree
-// whenever backlogs differ by at least one job.
+// whenever backlogs differ by at least one job. Both hosts' trees stay
+// keyed by server id over the whole farm with a down server at the
+// ceiling, so on a degraded farm the argmin is a live server and the
+// view reports its rank among the alive servers — the policy sees the
+// smaller farm, indexed or not (see "The failure domain").
 //
 // The dispatch path is also multi-producer: lb.GenConfig.Dispatchers fans
 // the open-loop generator across D goroutines sharing one farm (table,
@@ -363,20 +367,39 @@
 //
 // The pieces, layer by layer:
 //
+//   - One rule (internal/workload): a degraded farm is a smaller farm.
+//     workload.Live is an immutable membership snapshot — the live ids
+//     in ascending order and the inverse rank map — and both engines
+//     show their pickers the farm of the alive servers addressed by
+//     rank, then map the picked rank back to a server id. Every policy,
+//     healthy or degraded, simulated or live, is therefore its ordinary
+//     picker on alive servers (SQ(d) clamps d to alive); no view reports
+//     a sentinel length for a down server and no host repairs a pick
+//     that landed on one. The per-stream picker is rebuilt when the
+//     snapshot changes, so round-robin's cursor and SQ(d)'s sampling
+//     permutation restart at a membership change. Live.Without/With are
+//     also the one membership rulebook ("already down", "already up",
+//     "last live server") behind chaos.Resolve, sim.Options.Churn
+//     validation and lb's Leave/Crash/Join.
 //   - Live churn (internal/lb): Join/Leave/Crash plus Stall, Pause/
 //     Resume, and SetSlow speed faults, all safe under concurrent
-//     dispatch. SQ(d) samples from an atomically published live-server
-//     list and the min-index trees key down servers at the ceiling, so
-//     routing follows membership without a lock. Config.Chaos arms the
+//     dispatch. Membership changes publish a new snapshot through one
+//     atomic pointer; a dispatcher loads it once per pick, and a pick
+//     that raced a change re-picks on the freshly loaded snapshot, so
+//     routing follows membership without a lock. JIQ's idle stack is
+//     that policy's picker on this host (hints from down servers have
+//     no rank and are discarded). Config.Chaos arms the
 //     crash-interruptible service path from the start (otherwise it
 //     arms on the first fault, and a job already sleeping uninterrupted
 //     through the very first crash completes instead of requeueing).
 //   - Deterministic mirror (internal/sim): Options.Churn replays the
 //     same event kinds on the simulator's virtual clock, so any churn
-//     scenario is seed-reproducible and cheap to sweep. A crash-at-zero
-//     schedule on (N, ρ) is pinned to agree with a direct
-//     (N−k, ρ·N/(N−k)) run, full churn runs are pinned bit for bit
-//     (TestChurnGoldens), and a never-firing schedule stays
+//     scenario is seed-reproducible and cheap to sweep; a churn run
+//     picks through the same rank view for every policy. A crash-at-zero
+//     schedule on (N, ρ) is pinned, for all six policies, to agree with
+//     an independent direct (N−k, ρ·N/(N−k)) run and to equal the
+//     same-seed direct run bit for bit; full churn runs are pinned bit
+//     for bit (TestChurnGoldens), and a never-firing schedule stays
 //     bit-identical to the churn-free goldens at 0 allocs/event.
 //   - Fault schedules (internal/workload, internal/chaos): one compact
 //     grammar — "crash@200,slow@800@s=2@f=3,restore@2000" — parses to

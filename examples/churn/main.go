@@ -53,8 +53,8 @@ func bracket(servers int, load float64) (lo, hi float64) {
 }
 
 // simTwin runs the deterministic simulator twin of one phase: the
-// degraded phase is "crash k at t=0", which the sim's live-set SQ(d)
-// reproduces as the (N−k, ρ·N/(N−k)) system.
+// degraded phase is "crash k at t=0", which the sim — SQ(d) on the alive
+// servers — reproduces as the (N−k, ρ·N/(N−k)) system.
 func simTwin(crash bool) float64 {
 	var churn *workload.Churn
 	if crash {

@@ -32,9 +32,10 @@ const chaosStream = 0x6368616f73 // "chaos"
 // set at the event's position in the schedule: crash/leave pick among
 // servers currently up, restore picks among servers currently down,
 // slow/stall pick among servers currently up. Resolve rejects schedules
-// that reference servers outside [0, n), down a server twice without a
-// restore, restore a server that is up, or leave the farm with no
-// server up — the engines assume at least one live server at all times.
+// that reference servers outside [0, n), slow or stall a down server, or
+// break a membership rule of workload.Live — down a server twice without
+// a restore, restore a server that is up, take down the last live server
+// (the engines assume at least one at all times).
 //
 // The returned slice is a fresh copy sorted by time; c is not modified.
 func Resolve(c *workload.Churn, seed uint64, n int) ([]workload.ChurnEvent, error) {
@@ -45,8 +46,7 @@ func Resolve(c *workload.Churn, seed uint64, n int) ([]workload.ChurnEvent, erro
 		return nil, fmt.Errorf("chaos: need n ≥ 1 servers, got %d", n)
 	}
 	rng := frand.New(seed, chaosStream)
-	down := make([]bool, n)
-	alive := n
+	live := workload.NewLive(n)
 	out := make([]workload.ChurnEvent, len(c.Events))
 	copy(out, c.Events)
 	for i := range out {
@@ -54,67 +54,57 @@ func Resolve(c *workload.Churn, seed uint64, n int) ([]workload.ChurnEvent, erro
 		if ev.Server >= n {
 			return nil, fmt.Errorf("chaos: event %v targets server %d of a %d-server farm", ev, ev.Server, n)
 		}
+		var err error
 		switch ev.Kind {
 		case workload.ChurnCrash, workload.ChurnLeave:
 			if ev.Server < 0 {
-				ev.Server = pick(rng, down, false)
+				ev.Server = live.ID(rng.IntN(live.Alive()))
 			}
-			if ev.Server < 0 || down[ev.Server] {
-				return nil, fmt.Errorf("chaos: event %v has no up server to take down", ev)
-			}
-			if alive == 1 {
-				return nil, fmt.Errorf("chaos: event %v would down the last live server", ev)
-			}
-			down[ev.Server] = true
-			alive--
+			live, err = live.Without(ev.Server)
 		case workload.ChurnRestore:
 			if ev.Server < 0 {
-				ev.Server = pick(rng, down, true)
+				if ev.Server = pickDown(rng, live); ev.Server < 0 {
+					return nil, fmt.Errorf("chaos: event %v has no down server to restore", ev)
+				}
 			}
-			if ev.Server < 0 || !down[ev.Server] {
-				return nil, fmt.Errorf("chaos: event %v has no down server to restore", ev)
-			}
-			down[ev.Server] = false
-			alive++
+			live, err = live.With(ev.Server)
 		case workload.ChurnSlow, workload.ChurnStall:
 			if ev.Server < 0 {
-				ev.Server = pick(rng, down, false)
+				ev.Server = live.ID(rng.IntN(live.Alive()))
 			}
-			if ev.Server < 0 || down[ev.Server] {
-				return nil, fmt.Errorf("chaos: event %v targets no up server", ev)
+			if live.Rank(ev.Server) < 0 {
+				return nil, fmt.Errorf("chaos: event %v targets a server that is down", ev)
 			}
 		case workload.ChurnPause, workload.ChurnResume:
 			// Dispatcher-wide; nothing to resolve.
 		default:
 			return nil, fmt.Errorf("chaos: event %v has unknown kind", ev)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("chaos: event %v: %w", ev, err)
+		}
 	}
 	return out, nil
 }
 
-// pick draws uniformly among the servers whose down state equals want,
-// or −1 when none qualifies. One rng draw per call (none when the set
-// is empty), so resolution stays reproducible event for event.
-func pick(rng *frand.RNG, down []bool, want bool) int {
-	eligible := 0
-	for _, d := range down {
-		if d == want {
-			eligible++
-		}
-	}
-	if eligible == 0 {
+// pickDown draws uniformly among the down servers, or returns −1 (and
+// draws nothing) when every server is up. One rng draw per victim —
+// like the up-server picks, which are a uniform rank of the live
+// snapshot — so resolution stays reproducible event for event.
+func pickDown(rng *frand.RNG, live *workload.Live) int {
+	down := live.Size() - live.Alive()
+	if down == 0 {
 		return -1
 	}
-	k := rng.IntN(eligible)
-	for i, d := range down {
-		if d == want {
+	k := rng.IntN(down)
+	for id := 0; ; id++ {
+		if live.Rank(id) < 0 {
 			if k == 0 {
-				return i
+				return id
 			}
 			k--
 		}
 	}
-	return -1
 }
 
 // Storm generates a random crash/restore schedule: events alternating

@@ -3,6 +3,7 @@ package lb
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -81,7 +82,15 @@ func TestChaosCalibrationRecovery(t *testing.T) {
 	healthy, jh := window(3 * time.Second)
 
 	for i := 0; i < k; i++ {
-		if err := lb.Crash(2*i + 1); err != nil { // servers 1 and 3
+		victim := 2*i + 1 // servers 1 and 3
+		// Crash at an instant the victim is observed busy, so that the
+		// requeue assertion below holds by construction: a server at
+		// ρ = 0.45 is idle more often than not, and two crashes at
+		// arbitrary instants requeue nothing three times in ten.
+		for busyBy := time.Now().Add(time.Second); lb.slots[victim].qlen.Load() == 0 && time.Now().Before(busyBy); {
+			runtime.Gosched()
+		}
+		if err := lb.Crash(victim); err != nil {
 			t.Fatal(err)
 		}
 	}

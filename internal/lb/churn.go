@@ -17,19 +17,22 @@ import (
 // (internal/workload's churn: spec through internal/chaos.Resolve)
 // against the live farm.
 //
-// Membership is flag-based, not structural: the farm keeps its N
-// goroutines, channels and table slots for life, and a down server is
-// one whose slot carries the down flag — pickers route around it and
-// its goroutine requeues everything it dequeues. That keeps every
-// membership transition a handful of atomic stores with no channel
-// close/reopen races, at the price of an idle goroutine per down
-// server (blocked on its empty channel, costing nothing).
+// Membership is a published snapshot plus a flag, not structural: the
+// farm keeps its N goroutines, channels and table slots for life. The
+// workload.Live snapshot is the farm the pickers see — a down server
+// has no rank in it, so no policy can pick one — and the slot's down
+// flag tells the server's own goroutine to requeue everything it
+// dequeues. That keeps every membership transition a handful of atomic
+// stores with no channel close/reopen races, at the price of an idle
+// goroutine per down server (blocked on its empty channel, costing
+// nothing).
 
 // Leave removes server i from the farm gracefully: no new work routes
 // to it, its in-service job completes, and everything still queued is
 // redelivered to live servers through the retry path (each redelivery
-// consumes the job's RetryBudget). Errors if i is already down or is
-// the last live server — the farm never runs empty.
+// consumes the job's RetryBudget). Errors by workload.Live's rulebook:
+// i is already down, or is the last live server — the farm never runs
+// empty.
 func (lb *LB) Leave(i int) error { return lb.takeDown(i, false) }
 
 // Crash fails server i abruptly: like Leave, but the in-service job is
@@ -44,74 +47,51 @@ func (lb *LB) Leave(i int) error { return lb.takeDown(i, false) }
 func (lb *LB) Crash(i int) error { return lb.takeDown(i, true) }
 
 func (lb *LB) takeDown(i int, crash bool) error {
-	if i < 0 || i >= lb.n {
-		return fmt.Errorf("lb: server %d out of range [0, %d)", i, lb.n)
-	}
 	lb.memberMu.Lock()
 	defer lb.memberMu.Unlock()
-	s := &lb.slots[i]
-	if s.down.Load() {
-		return fmt.Errorf("lb: server %d is already down", i)
-	}
-	if lb.alive.Load() <= 1 {
-		return fmt.Errorf("lb: refusing to take down server %d: it is the last live server", i)
+	live, err := lb.live.Load().Without(i)
+	if err != nil {
+		return fmt.Errorf("lb: %w", err)
 	}
 	lb.churny.Store(true)
+	// Snapshot first, flag second: see LB.live.
+	lb.live.Store(live)
+	s := &lb.slots[i]
 	s.down.Store(true)
 	if crash {
 		s.crashed.Store(true)
 	}
-	lb.alive.Add(-1)
-	lb.publishLive()
-	// Re-key the min-indexes so the argmin routes around the server
-	// immediately (the key callbacks read the down flag).
+	lb.rekey(i)
+	return nil
+}
+
+// rekey refreshes server i in the min-indexes after its down flag moved
+// (the key callbacks read it: a down server keys at the ceiling).
+func (lb *LB) rekey(i int) {
 	if lb.lenTree != nil {
 		lb.lenTree.Update(i)
 	}
 	if lb.workTree != nil {
 		lb.workTree.Update(i)
 	}
-	return nil
-}
-
-// publishLive rebuilds the compact live-server list after a membership
-// change (memberMu held). The list is stored before the sequence bump,
-// so a dispatcher observing the new sequence always copies the new list.
-func (lb *LB) publishLive() {
-	list := make([]int32, 0, lb.n)
-	for i := 0; i < lb.n; i++ {
-		if !lb.slots[i].down.Load() {
-			//lint:allow atomicfield list is plain-built before the publishing Store, immutable after; the Store is the release fence
-			list = append(list, int32(i))
-		}
-	}
-	lb.liveList.Store(&list)
-	lb.liveSeq.Add(1)
 }
 
 // Join returns a down server to the farm (restore after Leave/Crash):
 // flags clear, the min-indexes re-key, and an empty queue reports idle
 // to JIQ. Errors if the server is already up.
 func (lb *LB) Join(i int) error {
-	if i < 0 || i >= lb.n {
-		return fmt.Errorf("lb: server %d out of range [0, %d)", i, lb.n)
-	}
 	lb.memberMu.Lock()
 	defer lb.memberMu.Unlock()
+	live, err := lb.live.Load().With(i)
+	if err != nil {
+		return fmt.Errorf("lb: %w", err)
+	}
 	s := &lb.slots[i]
-	if !s.down.Load() {
-		return fmt.Errorf("lb: server %d is already up", i)
-	}
 	s.crashed.Store(false)
+	// Flag first, snapshot second: see LB.live.
 	s.down.Store(false)
-	lb.alive.Add(1)
-	lb.publishLive()
-	if lb.lenTree != nil {
-		lb.lenTree.Update(i)
-	}
-	if lb.workTree != nil {
-		lb.workTree.Update(i)
-	}
+	lb.live.Store(live)
+	lb.rekey(i)
 	if lb.jiq && s.qlen.Load() == 0 && s.onStack.CompareAndSwap(false, true) {
 		lb.idle.push(i)
 	}
@@ -119,7 +99,7 @@ func (lb *LB) Join(i int) error {
 }
 
 // Alive returns the number of live (not down) servers.
-func (lb *LB) Alive() int { return int(lb.alive.Load()) }
+func (lb *LB) Alive() int { return lb.live.Load().Alive() }
 
 // SetSlow degrades server i: service durations multiply by factor
 // until cleared. factor 1 clears the degradation; factor < 1 is a
@@ -251,35 +231,25 @@ func (lb *LB) backoffFor(k int32) time.Duration {
 // speculative duplicate: on any failure it is discarded silently (the
 // original still holds the claim race), whereas a redelivery failure
 // re-enters scheduleRetry until the budget drops the job. The
-// inflight/chClosed bracket mirrors submitAt's closed bracket so a
-// redelivery never sends on a channel Shutdown has closed.
+// enter bracket against chClosed means a redelivery never sends on a
+// channel Shutdown has closed.
 func (lb *LB) redispatch(j job, hedge bool) {
-	if lb.chClosed.Load() {
+	if lb.enter(false) != nil {
 		if !hedge {
 			lb.finalizeDrop(j, time.Now(), false)
 		}
 		return
 	}
-	lb.inflight.Add(1)
 	defer lb.inflight.Done()
-	if lb.chClosed.Load() {
-		if !hedge {
-			lb.finalizeDrop(j, time.Now(), false)
-		}
-		return
-	}
-	d := lb.dispatchers.Get().(*dispatcher)
-	if lb.workAware {
-		d.view.nowNs = time.Now().UnixNano()
-	}
+	d := lb.dispatcherAt(time.Now())
 	target, err := lb.admit(d, &j)
 	lb.dispatchers.Put(d)
 	if err != nil {
 		if hedge {
 			return
 		}
-		// Full queue or no live server: try again (consuming budget) —
-		// membership may recover before the budget runs out.
+		// Full queue: try again (consuming budget) — it may drain before
+		// the budget runs out.
 		lb.scheduleRetry(j, time.Now())
 		return
 	}
@@ -344,7 +314,7 @@ func (lb *LB) armHedge(j *job, target int) {
 func (lb *LB) RunChurn(events []workload.ChurnEvent) error {
 	start := time.Now()
 	for _, ev := range events {
-		at := start.Add(time.Duration(ev.T * lb.meanServiceNs))
+		at := start.Add(durationNs(ev.T * lb.meanServiceNs))
 		if wait := time.Until(at); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
@@ -372,7 +342,7 @@ func (lb *LB) applyChurn(ev workload.ChurnEvent) error {
 	case workload.ChurnSlow:
 		return lb.SetSlow(ev.Server, ev.Factor)
 	case workload.ChurnStall:
-		return lb.Stall(ev.Server, time.Duration(ev.Dur*lb.meanServiceNs))
+		return lb.Stall(ev.Server, durationNs(ev.Dur*lb.meanServiceNs))
 	case workload.ChurnPause:
 		lb.PauseDispatch()
 		return nil

@@ -1,6 +1,11 @@
 package lb
 
-import "sync/atomic"
+import (
+	"math/rand/v2"
+	"sync/atomic"
+
+	"finitelb/internal/workload"
+)
 
 // idleStack is a lock-free Treiber stack of server ids, the O(1) heart of
 // the JIQ fast path: a server pushes itself when its queue drains, a
@@ -52,6 +57,29 @@ func (st *idleStack) tryPop() (int, bool) {
 		nh := (h>>32+1)<<32 | uint64(st.next[id].Load())
 		if st.head.CompareAndSwap(h, nh) {
 			return id, true
+		}
+	}
+}
+
+// idlePicker is the farm's picker under the JIQ policy: pop an idle hint
+// in O(1), discarding hints from servers that have no rank in the view's
+// membership snapshot (they went down after reporting idle), and fall
+// back to a uniform pick among the live servers when nobody live has
+// reported idle. It reads the dispatcher's own view, so like every other
+// picker it answers in ranks of that view.
+type idlePicker struct{ v *qview }
+
+//finitelb:hotpath
+func (p idlePicker) Pick(rng *rand.Rand, _ workload.Queues) int {
+	lb, live := p.v.lb, p.v.live
+	for {
+		id, ok := lb.idle.tryPop()
+		if !ok {
+			return rng.IntN(live.Alive())
+		}
+		lb.slots[id].onStack.Store(false)
+		if r := live.Rank(id); r >= 0 {
+			return r
 		}
 	}
 }

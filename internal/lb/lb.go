@@ -22,10 +22,17 @@
 // traffic, with two live-specific notes. Pickers are pooled per
 // dispatching goroutine (the interfaces are documented single-goroutine),
 // so stateful pickers like round-robin interleave across concurrent
-// clients rather than cycling globally; and the JIQ policy is served by
-// the idle stack — most-recently-idle rather than uniformly-random-idle,
+// clients rather than cycling globally; and the JIQ policy's picker here
+// is the idle stack — most-recently-idle rather than uniformly-random-idle,
 // a distinction without a delay difference on homogeneous servers since
 // either way the job starts service immediately.
+//
+// Membership is part of the farm the pickers see, not a special case of
+// any policy: the dispatcher's view is the farm of the live servers
+// (workload.Live), so with k servers down every policy is its ordinary
+// picker on N−k servers — the same rule internal/sim applies, which is
+// why a degraded live farm lands in the QBD bracket solved at
+// (N−k, ρ·N/(N−k)).
 package lb
 
 import (
@@ -50,10 +57,6 @@ var ErrClosed = errors.New("lb: dispatcher is shut down")
 // queue was at capacity. The caller sees loss semantics, as a real
 // admission-controlled farm would; rejections are counted in the Summary.
 var ErrQueueFull = errors.New("lb: picked server's queue is full")
-
-// ErrNoServers reports a dispatch attempted while every server is down
-// (crashed or departed and not yet restored).
-var ErrNoServers = errors.New("lb: no live servers")
 
 // Config describes a live farm.
 type Config struct {
@@ -214,6 +217,26 @@ type job struct {
 //finitelb:hotpath
 func (lb *LB) rel(t time.Time) float64 { return float64(t.Sub(lb.epoch)) }
 
+// durationNs converts float64 nanoseconds to a time.Duration, saturating
+// at the int64 range instead of wrapping: Go leaves an out-of-range
+// float→int conversion implementation-defined, and on amd64 it yields
+// MinInt64 — a service stretched by an absurd slow factor, or a 1e9 job
+// at a ten-second MeanService, would otherwise complete instantly and
+// drive LWL's work ledger negative. NaN converts to 0.
+//
+//finitelb:hotpath
+func durationNs(ns float64) time.Duration {
+	switch {
+	case ns != ns:
+		return 0
+	case ns >= 1<<63:
+		return math.MaxInt64
+	case ns <= -(1 << 63):
+		return math.MinInt64
+	}
+	return time.Duration(ns)
+}
+
 // Trace returns the attached flight recorder (nil when tracing is off).
 func (lb *LB) Trace() *trace.Recorder { return lb.tr }
 
@@ -267,7 +290,6 @@ type LB struct {
 	// crash-interruptible (chunked) service sleep the first time any
 	// fault is injected, so churn-free farms keep the single-sleep path.
 	memberMu sync.Mutex
-	alive    atomic.Int32
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	chClosed atomic.Bool
@@ -275,67 +297,70 @@ type LB struct {
 	churny   atomic.Bool
 	pause    atomic.Pointer[chan struct{}]
 
-	// liveList is the compact list of live server ids, republished (and
-	// liveSeq bumped) under memberMu on every membership change. It
-	// exists for the degraded-mode SQ(d) pick: sampling d servers from
-	// the live set keeps the policy's law — and therefore the QBD
-	// bracket solved at (alive, ρ·N/alive) — intact while servers are
-	// down, where sampling from all N would collapse SQ(d) toward
-	// random routing on the survivors. sqdD caches the policy's d
-	// (0 when the policy is not SQ(d)).
-	sqdD     int
-	liveSeq  atomic.Uint64
-	liveList atomic.Pointer[[]int32]
+	// live is the membership snapshot, republished under memberMu on
+	// every change. It is the farm the dispatchers show their pickers:
+	// the policy runs on the Alive() survivors by rank, which keeps its
+	// law — and therefore the QBD bracket solved at (alive, ρ·N/alive) —
+	// intact while servers are down. A snapshot without a server is
+	// published before that server's down flag is raised, and a rejoining
+	// server's flag clears before the snapshot holding it is published,
+	// so a dispatcher that finds its pick down reloads a snapshot that no
+	// longer holds the server.
+	live atomic.Pointer[workload.Live]
 }
 
 // dispatcher is the per-goroutine picking state (the workload interfaces
-// are documented single-goroutine): an RNG, a Picker, and the farm view
-// it samples. sync.Pool keeps one per P in steady state, so picks stay
-// lock-free.
+// are documented single-goroutine): an RNG, the policy's Picker for the
+// live servers of view.live, and the farm view it samples. sync.Pool
+// keeps one per P in steady state, so picks stay lock-free.
 type dispatcher struct {
 	rng    *rand.Rand
 	picker workload.Picker
 	view   qview
+}
 
-	// Degraded-mode SQ(d) sampling state: a private copy of the farm's
-	// live-server list (refreshed when liveSeq moves), permuted in place
-	// by partial Fisher–Yates per pick.
-	aliveSeq  uint64
-	alivePerm []int32
+// bind points the dispatcher at a membership snapshot and rebuilds its
+// picker for the servers alive in it. Control-plane-rare: once at
+// construction, then once per membership change the dispatcher observes
+// — so round-robin's cursor and SQ(d)'s permutation restart there.
+func (d *dispatcher) bind(live *workload.Live) {
+	lb := d.view.lb
+	d.view.live = live
+	if lb.jiq {
+		d.picker = idlePicker{&d.view}
+		return
+	}
+	picker, err := live.NewPicker(lb.cfg.Policy)
+	if err != nil {
+		// Unreachable: New validated the policy on the whole farm, and
+		// the constructors only refuse an empty one.
+		panic("lb: NewPicker failed after validation: " + err.Error())
+	}
+	d.picker = picker
 }
 
 // qview adapts the sharded table to the dispatcher's workload.Queues (and
-// workload.WorkQueues) interfaces. nowNs is set per dispatch so that LWL
-// sees in-service remainders at the arrival instant.
+// workload.WorkQueues) interfaces: the farm of the servers alive in live,
+// addressed by rank. nowNs is set per dispatch so that LWL sees in-service
+// remainders at the arrival instant.
 type qview struct {
 	lb    *LB
+	live  *workload.Live
 	nowNs int64
 }
 
-func (q *qview) N() int { return q.lb.n }
+func (q *qview) N() int { return q.live.Alive() }
 
-// Len reports a down server as worst-possible so length-scanning
-// pickers (SQ(d) samples, the small-N JSQ reference scan, JIQ's
-// idle-scan) route around it; admit's post-pick liveness check is then
-// only a race backstop, not the routing mechanism.
-//
 //finitelb:hotpath
-func (q *qview) Len(i int) int {
-	if q.lb.slots[i].down.Load() {
-		return math.MaxInt32
-	}
-	return int(q.lb.slots[i].qlen.Load())
-}
+func (q *qview) Len(r int) int { return int(q.lb.slots[q.live.ID(r)].qlen.Load()) }
 
 // Work implements workload.WorkQueues: the server's time-to-drain in
 // service-time units — queued (not yet started) work divided by the
 // server's speed, plus the in-service wall-clock remainder.
 //finitelb:hotpath
-func (q *qview) Work(i int) float64 {
+func (q *qview) Work(r int) float64 {
+	i := q.live.ID(r)
 	s := &q.lb.slots[i]
-	if s.down.Load() {
-		return math.Inf(1)
-	}
 	w := float64(s.pending.Load()) / q.lb.speeds[i]
 	if dl := s.deadline.Load(); dl != 0 {
 		if rem := dl - q.nowNs; rem > 0 {
@@ -345,15 +370,23 @@ func (q *qview) Work(i int) float64 {
 	return w / q.lb.meanServiceNs
 }
 
+// argminRank reports a min-index argmin as a rank of the view's snapshot.
+// The indexes are keyed by server id over the whole farm with a down
+// server at the ceiling, so the argmin is a live server unless it raced a
+// membership change; then ok = false sends the picker to its scan.
+//finitelb:hotpath
+func (q *qview) argminRank(t *minindex.Conc, rng *rand.Rand) (int, bool) {
+	if t == nil {
+		return 0, false
+	}
+	r := q.live.Rank(t.Argmin(rng))
+	return r, r >= 0
+}
+
 // ArgminLen implements workload.ArgminQueues when the length index is on:
 // a uniformly-tie-broken shortest queue in O(log N) tree reads.
 //finitelb:hotpath
-func (q *qview) ArgminLen(rng *rand.Rand) (int, bool) {
-	if t := q.lb.lenTree; t != nil {
-		return t.Argmin(rng), true
-	}
-	return 0, false
-}
+func (q *qview) ArgminLen(rng *rand.Rand) (int, bool) { return q.argminRank(q.lb.lenTree, rng) }
 
 // ArgminWork implements workload.ArgminWorkQueues when the work index is
 // on. The index orders servers by outstanding nominal work — every
@@ -363,12 +396,7 @@ func (q *qview) ArgminLen(rng *rand.Rand) (int, bool) {
 // orderings agree whenever backlogs differ by at least one job, which is
 // when LWL's choice matters.
 //finitelb:hotpath
-func (q *qview) ArgminWork(rng *rand.Rand) (int, bool) {
-	if t := q.lb.workTree; t != nil {
-		return t.Argmin(rng), true
-	}
-	return 0, false
-}
+func (q *qview) ArgminWork(rng *rand.Rand) (int, bool) { return q.argminRank(q.lb.workTree, rng) }
 
 // New validates cfg, starts the N server goroutines, and returns a
 // running farm.
@@ -407,18 +435,10 @@ func New(cfg Config) (*LB, error) {
 		epoch:         time.Now(),
 		stopCh:        make(chan struct{}),
 	}
-	lb.alive.Store(int32(cfg.N))
+	lb.live.Store(workload.NewLive(cfg.N))
 	if cfg.Chaos {
 		lb.churny.Store(true)
 	}
-	if p, ok := cfg.Policy.(workload.SQD); ok {
-		lb.sqdD = p.D
-	}
-	full := make([]int32, cfg.N)
-	for i := range full { //lint:allow atomicfield list is plain-built before the publishing Store, immutable after; the Store is the release fence
-		full[i] = int32(i)
-	}
-	lb.liveList.Store(&full)
 	_, lb.jiq = cfg.Policy.(workload.JIQ)
 	_, lb.workAware = cfg.Policy.(workload.WorkAware)
 	if cfg.N >= minindex.Threshold {
@@ -459,16 +479,9 @@ func New(cfg Config) (*LB, error) {
 		}
 	}
 	lb.dispatchers.New = func() any {
-		picker, err := cfg.Policy.NewPicker(cfg.N)
-		if err != nil {
-			// Unreachable: the same constructor succeeded above.
-			panic("lb: NewPicker failed after validation: " + err.Error())
-		}
-		d := &dispatcher{
-			rng:    rand.New(rand.NewPCG(cfg.Seed, lb.seedCtr.Add(1))),
-			picker: picker,
-		}
+		d := &dispatcher{rng: rand.New(rand.NewPCG(cfg.Seed, lb.seedCtr.Add(1)))}
 		d.view.lb = lb
+		d.bind(lb.live.Load())
 		return d
 	}
 
@@ -537,36 +550,71 @@ func (lb *LB) submit(work float64, done chan<- Done, counted *atomic.Int64) (int
 	return lb.submitAt(time.Now(), work, done, counted)
 }
 
+// checkWork rejects a service requirement outside (0, 1e9] (NaN
+// included). The cap keeps requirement × MeanService far inside int64
+// nanoseconds for any sane MeanService; durationNs saturates the rest.
+func checkWork(work float64) error {
+	if !(work > 0) || work > 1e9 {
+		return fmt.Errorf("lb: job work %v outside (0, 1e9]", work)
+	}
+	return nil
+}
+
+// enter opens the bracket every send to a server channel runs inside:
+// gate check, inflight.Add, gate re-check. Shutdown flips a gate and then
+// waits for inflight, so no send can race past a closed channel. An
+// external submission first waits out a dispatcher pause and stops at
+// closed; a redelivery of an already accepted job ignores the pause and
+// runs until chClosed, the later gate. On nil the caller owes
+// inflight.Done.
+//finitelb:hotpath
+func (lb *LB) enter(external bool) error {
+	gate := &lb.chClosed
+	if external {
+		gate = &lb.closed
+		if p := lb.pause.Load(); p != nil {
+			if err := lb.pauseWait(p); err != nil {
+				return err
+			}
+		}
+	}
+	if gate.Load() {
+		return ErrClosed
+	}
+	lb.inflight.Add(1)
+	if gate.Load() {
+		lb.inflight.Done()
+		return ErrClosed
+	}
+	return nil
+}
+
+// dispatcherAt borrows a pooled dispatcher for picks at instant now (LWL
+// reads in-service remainders against it); return it with
+// lb.dispatchers.Put.
+//finitelb:hotpath
+func (lb *LB) dispatcherAt(now time.Time) *dispatcher {
+	d := lb.dispatchers.Get().(*dispatcher)
+	if lb.workAware {
+		d.view.nowNs = now.UnixNano()
+	}
+	return d
+}
+
 // submitAt is submit with the arrival stamp supplied by the caller: the
 // load generator's burst path drains several overdue arrivals per sleeper
 // wake-up and stamps the whole burst with one clock read.
 //finitelb:hotpath
 func (lb *LB) submitAt(arrival time.Time, work float64, done chan<- Done, counted *atomic.Int64) (int, error) {
-	if !(work > 0) || work > 1e9 {
-		//lint:allow hotpath rejected-input error exit; never taken on the accept path
-		return -1, fmt.Errorf("lb: job work %v outside (0, 1e9]", work)
+	if err := checkWork(work); err != nil {
+		return -1, err
 	}
-	if p := lb.pause.Load(); p != nil {
-		if err := lb.pauseWait(p); err != nil {
-			return -1, err
-		}
+	if err := lb.enter(true); err != nil {
+		return -1, err
 	}
-	if lb.closed.Load() {
-		return -1, ErrClosed
-	}
-	// The inflight group brackets the closed-check-to-enqueue window:
-	// Shutdown flips closed and then waits for it, so no enqueue can race
-	// past a closed channel.
-	lb.inflight.Add(1)
 	defer lb.inflight.Done()
-	if lb.closed.Load() {
-		return -1, ErrClosed
-	}
 
-	d := lb.dispatchers.Get().(*dispatcher)
-	if lb.workAware {
-		d.view.nowNs = arrival.UnixNano()
-	}
+	d := lb.dispatcherAt(arrival)
 	j := job{work: work, arrival: arrival, done: done, counted: counted, trace: trace.None}
 	if lb.tr != nil {
 		j.trace = lb.tr.Start(lb.rel(arrival))
@@ -598,49 +646,28 @@ func (lb *LB) submitAt(arrival time.Time, work float64, done chan<- Done, counte
 
 // admit is the per-job admission stage shared by submitAt, submitBurst
 // and the redelivery path: pick a live target with the caller's
-// dispatcher (the caller sets d.view.nowNs under a work-aware policy),
-// reserve a queue slot, and update every ledger and index. The job is
-// prebuilt by the caller — admit never creates or aborts trace spans
-// and never counts acceptance, so redeliveries of an already-accepted
-// job reuse it unchanged. ErrQueueFull means the picked server's queue
-// was full (the rejection is counted, nothing needs unwinding);
-// ErrNoServers means every server is down. The caller owns the send.
+// dispatcher (from dispatcherAt), reserve a queue slot, and update every
+// ledger and index. The pick is the policy's picker over the live
+// servers' ranks, whatever the policy and however many servers are down.
+// The job is prebuilt by the caller — admit never creates or aborts
+// trace spans and never counts acceptance, so redeliveries of an
+// already-accepted job reuse it unchanged. ErrQueueFull means the picked
+// server's queue was full (the rejection is counted, nothing needs
+// unwinding). The caller owns the send.
 //finitelb:hotpath
 func (lb *LB) admit(d *dispatcher, j *job) (int, error) {
 	var target int
-	if lb.jiq {
-		// JIQ fast path: pop an idle hint in O(1), discarding hints from
-		// servers that went down since they reported idle; fall back to a
-		// uniform pick when nobody live has reported idle.
-		for {
-			var ok bool
-			if target, ok = lb.idle.tryPop(); !ok {
-				target = d.rng.IntN(lb.n)
-				break
-			}
-			lb.slots[target].onStack.Store(false)
-			if !lb.slots[target].down.Load() {
-				break
-			}
+	for {
+		if live := lb.live.Load(); live != d.view.live {
+			d.bind(live)
 		}
-	} else if lb.sqdD > 0 && lb.alive.Load() < int32(lb.n) {
-		// Degraded farm under SQ(d): sample from the live set, not all N.
-		// Healthy farms never take this branch, so their picker draw
-		// sequence is untouched.
-		target = lb.pickSQDLive(d)
-		if target < 0 {
-			return -1, ErrNoServers
+		target = d.view.live.ID(d.picker.Pick(d.rng, &d.view))
+		if !lb.slots[target].down.Load() {
+			break
 		}
-	} else {
-		target = d.picker.Pick(d.rng, &d.view)
-	}
-	if lb.slots[target].down.Load() {
-		// The policy's pick raced a membership change (or scans a view
-		// that doesn't know about liveness): probe for the next live
-		// server instead of bouncing the job.
-		if target = lb.nextAlive(target, d); target < 0 {
-			return -1, ErrNoServers
-		}
+		// The pick raced a membership change. The snapshot without the
+		// server was published before its flag went up (see LB.live), so
+		// the reload above re-picks on a farm that no longer holds it.
 	}
 	s := &lb.slots[target]
 	newLen := s.qlen.Add(1)
@@ -662,7 +689,7 @@ func (lb *LB) admit(d *dispatcher, j *job) (int, error) {
 		lb.tr.Picked(j.trace, lb.rel(time.Now()), target, int(newLen-1), -1)
 	}
 	if lb.workAware {
-		j.workNs = int64(j.work * lb.meanServiceNs)
+		j.workNs = int64(durationNs(j.work * lb.meanServiceNs))
 		s.pending.Add(j.workNs)
 		if lb.workTree != nil {
 			s.outwork.Add(j.workNs)
@@ -670,61 +697,6 @@ func (lb *LB) admit(d *dispatcher, j *job) (int, error) {
 		}
 	}
 	return target, nil
-}
-
-// pickSQDLive is the degraded-mode SQ(d) pick: d distinct samples drawn
-// by partial Fisher–Yates over the dispatcher's copy of the live-server
-// list, least queue wins with uniform tie-breaking — the same law as
-// workload.SQD's picker, restricted to the survivors. The copy refreshes
-// whenever membership moves (liveSeq); a pick landing on a server that
-// went down after the copy is repaired by admit's liveness backstop.
-// Returns −1 only if the live list is empty (alive ≥ 1 is a membership
-// invariant, so in practice only during teardown races).
-func (lb *LB) pickSQDLive(d *dispatcher) int {
-	if seq := lb.liveSeq.Load(); seq != d.aliveSeq || len(d.alivePerm) == 0 {
-		d.alivePerm = append(d.alivePerm[:0], *lb.liveList.Load()...)
-		d.aliveSeq = seq
-	}
-	perm := d.alivePerm
-	m := len(perm)
-	if m == 0 {
-		return -1
-	}
-	dd := lb.sqdD
-	if dd > m {
-		dd = m
-	}
-	best, bestLen, ties := -1, math.MaxInt, 0
-	for k := 0; k < dd; k++ {
-		j := k + d.rng.IntN(m-k)
-		perm[k], perm[j] = perm[j], perm[k]
-		s := int(perm[k])
-		switch l := int(lb.slots[s].qlen.Load()); {
-		case l < bestLen:
-			best, bestLen, ties = s, l, 1
-		case l == bestLen:
-			ties++
-			if d.rng.IntN(ties) == 0 {
-				best = s
-			}
-		}
-	}
-	return best
-}
-
-// nextAlive scans for a live server starting after from; a uniformly
-// random rotation decorrelates concurrent dispatchers racing the same
-// membership change. Returns −1 when every server is down.
-//finitelb:hotpath
-func (lb *LB) nextAlive(from int, d *dispatcher) int {
-	off := d.rng.IntN(lb.n)
-	for k := 0; k < lb.n; k++ {
-		i := (from + 1 + off + k) % lb.n
-		if !lb.slots[i].down.Load() {
-			return i
-		}
-	}
-	return -1
 }
 
 // burstScratch is the reusable staging area of one generator goroutine's
@@ -749,34 +721,21 @@ func (lb *LB) submitBurst(arrival time.Time, works []float64, counted *atomic.In
 	if len(works) == 0 {
 		return 0, nil
 	}
-	if p := lb.pause.Load(); p != nil {
-		if err := lb.pauseWait(p); err != nil {
-			return 0, err
-		}
+	if err := lb.enter(true); err != nil {
+		return 0, err
 	}
-	if lb.closed.Load() {
-		return 0, ErrClosed
-	}
-	lb.inflight.Add(1)
 	defer lb.inflight.Done()
-	if lb.closed.Load() {
-		return 0, ErrClosed
-	}
 
 	// Validate the whole burst before reserving anything: an invalid work
 	// mid-burst must not abandon queue reservations and ledger entries
 	// already staged for earlier jobs.
 	for _, work := range works {
-		if !(work > 0) || work > 1e9 {
-			//lint:allow hotpath rejected-input error exit; never taken on the accept path
-			return 0, fmt.Errorf("lb: job work %v outside (0, 1e9]", work)
+		if err := checkWork(work); err != nil {
+			return 0, err
 		}
 	}
 
-	d := lb.dispatchers.Get().(*dispatcher)
-	if lb.workAware {
-		d.view.nowNs = arrival.UnixNano()
-	}
+	d := lb.dispatcherAt(arrival)
 	deadlineNs := int64(0)
 	if lb.cfg.Deadline > 0 {
 		deadlineNs = arrival.Add(lb.cfg.Deadline).UnixNano()

@@ -154,7 +154,7 @@ func (lb *LB) RunLoadGen(ctx context.Context, g GenConfig) (Summary, error) {
 func (lb *LB) generate(ctx context.Context, svc workload.Service, src workload.Source, rng *rand.Rand, jobs int64, batch int, finished, accepted *atomic.Int64) error {
 	works := make([]float64, 0, batch)
 	sc := &burstScratch{jobs: make([]job, 0, batch), targets: make([]int32, 0, batch)}
-	next := time.Now().Add(time.Duration(src.Next(rng) * lb.meanServiceNs))
+	next := time.Now().Add(durationNs(src.Next(rng) * lb.meanServiceNs))
 	for k := int64(0); k < jobs; {
 		lb.sleep.sleepUntil(next)
 		if ctx.Err() != nil {
@@ -165,7 +165,7 @@ func (lb *LB) generate(ctx context.Context, svc workload.Service, src workload.S
 		for b := 0; b < batch; b++ {
 			works = append(works, svc.Sample(rng))
 			k++
-			next = next.Add(time.Duration(src.Next(rng) * lb.meanServiceNs))
+			next = next.Add(durationNs(src.Next(rng) * lb.meanServiceNs))
 			if k == jobs || next.After(now) {
 				break
 			}

@@ -101,10 +101,11 @@ func (s *server) serve(lb *LB, slot *slot, busyUntil time.Time, j job) time.Time
 		lb.finalizeDrop(j, time.Now(), true)
 		return busyUntil
 	}
-	dur := time.Duration(j.work / s.speed * lb.meanServiceNs)
+	ns := j.work / s.speed * lb.meanServiceNs
 	if f := slot.slowBits.Load(); f != 0 {
-		dur = time.Duration(float64(dur) * math.Float64frombits(f))
+		ns *= math.Float64frombits(f)
 	}
+	dur := durationNs(ns)
 	deadline := start.Add(dur)
 	if j.trace >= 0 {
 		// start is the work-clock (ideal-schedule) instant — it can

@@ -26,10 +26,11 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 	internalDir := filepath.Dir(filepath.Dir(self)) // .../internal
 
 	required := map[string][]string{
-		// The measured event loop itself, and the degraded-mode picks its
-		// churn-armed run routes through.
-		"sim/loop.go":  {"runTyped", "flush", "serviceTime", "workAt", "noteLen", "noteWork"},
-		"sim/churn.go": {"pick", "pickSQDLive"},
+		// The measured event loop itself. Its churn-armed rows pick through
+		// the rank view of the live servers: the farm adapter in
+		// sim/pick.go over workload.Live's rank ↔ id maps.
+		"sim/loop.go":      {"runTyped", "flush", "serviceTime", "workAt", "isDown", "noteLen", "noteWork"},
+		"workload/live.go": {"ID", "Rank"},
 		// The per-departure accumulators the loops flush into: the batched
 		// stream entry point and the quantile sketch behind it (Add per
 		// observation, addCount/collapse its internals, Merge on the
@@ -39,7 +40,7 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		// Every picker the alloc test's policies route through, plus the
 		// rest of the pick set (one stray fmt call in any of them would
 		// put allocations on some policy's event path).
-		"sim/pick.go": {"pick"},
+		"sim/pick.go": {"pick", "Len", "Work", "ArgminLen", "ArgminWork"},
 		// Completion trackers: the mode-selected implementations.
 		"sim/tracker.go":  {"min", "update", "min4"},
 		"sim/calendar.go": {"min", "update", "bucket", "recompute"},
@@ -47,8 +48,8 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		"minindex/minindex.go": {"Update", "Argmin", "combine"},
 		"minindex/conc.go":     {"Update", "Argmin"},
 		// The live dispatch path carries the same guarantee per event.
-		"lb/lb.go":        {"submit", "submitAt", "admit", "submitBurst", "Len", "Work", "ArgminLen", "ArgminWork"},
-		"lb/idlestack.go": {"push", "tryPop"},
+		"lb/lb.go":        {"submit", "submitAt", "enter", "dispatcherAt", "admit", "submitBurst", "durationNs", "Len", "Work", "argminRank", "ArgminLen", "ArgminWork"},
+		"lb/idlestack.go": {"push", "tryPop", "Pick"},
 		// The flight recorder rides the same event paths when tracing is
 		// on (TestAllocFreeEventPathTraced pins the trace-on floor).
 		"trace/trace.go": {"hit", "Start", "Picked", "Enqueued", "Started", "Done", "Abort", "publish", "observe"},

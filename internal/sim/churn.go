@@ -9,11 +9,12 @@ import (
 
 // This file is the simulator's side of the failure domain: churn
 // schedule validation and the event-loop hooks that apply membership
-// changes on model time. The semantics deliberately mirror
-// internal/lb's flag-based membership — crash loses in-service
-// progress and redistributes the queue, leave drains gracefully, SQ(d)
-// samples among survivors while servers are down — so a live chaos
-// scenario replays here seed-deterministically (see Options.Churn).
+// changes on model time. The semantics deliberately mirror internal/lb
+// — crash loses in-service progress and redistributes the queue, leave
+// drains gracefully, and while servers are down every policy is its
+// ordinary picker on the farm of the survivors (workload.Live) — so a
+// live chaos scenario replays here seed-deterministically (see
+// Options.Churn).
 
 // validateChurn checks a schedule against the farm size and returns a
 // defensive copy, nil for no churn. Every event needs an explicit
@@ -23,16 +24,15 @@ import (
 // factors finite and > 0 — the tracker's key order needs nonnegative
 // completion times, a server slowed by +Inf never completes, and an event
 // at +Inf never fires while blocking every later one. Membership is
-// tracked through the schedule so a run can never go all-down or
-// double-fault.
+// walked through workload.Live's rulebook so a run can never go all-down
+// or double-fault.
 func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 	if c == nil || len(c.Events) == 0 {
 		return nil, nil
 	}
 	evs := make([]workload.ChurnEvent, len(c.Events))
 	copy(evs, c.Events)
-	down := make([]bool, n)
-	alive := n
+	live := workload.NewLive(n)
 	last := math.Inf(-1)
 	for k, ev := range evs {
 		if !(ev.T >= 0) || math.IsInf(ev.T, 1) {
@@ -52,26 +52,19 @@ func validateChurn(c *workload.Churn, n int) ([]workload.ChurnEvent, error) {
 		if ev.Server >= n {
 			return nil, fmt.Errorf("sim: churn event %v targets server %d, farm has %d", ev, ev.Server, n)
 		}
+		var err error
 		switch ev.Kind {
 		case workload.ChurnSlow:
 			if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
 				return nil, fmt.Errorf("sim: churn event %v: factor %v is not finite and > 0 (grammar: slow@t=T@f=FACTOR with FACTOR a finite service-time multiplier > 0)", ev, ev.Factor)
 			}
 		case workload.ChurnCrash, workload.ChurnLeave:
-			if down[ev.Server] {
-				return nil, fmt.Errorf("sim: churn event %v targets a server that is already down", ev)
-			}
-			if alive == 1 {
-				return nil, fmt.Errorf("sim: churn event %v would take down the last live server", ev)
-			}
-			down[ev.Server] = true
-			alive--
+			live, err = live.Without(ev.Server)
 		case workload.ChurnRestore:
-			if !down[ev.Server] {
-				return nil, fmt.Errorf("sim: churn event %v restores a server that is already up", ev)
-			}
-			down[ev.Server] = false
-			alive++
+			live, err = live.With(ev.Server)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sim: churn event %v: %w", ev, err)
 		}
 	}
 	return evs, nil
@@ -82,109 +75,37 @@ func (st *loopState) armChurn(evs []workload.ChurnEvent) {
 	n := len(st.qlen)
 	st.churn = evs
 	st.nextChurn = evs[0].T
-	st.down = make([]bool, n)
+	st.live = workload.NewLive(n)
 	st.slow = make([]float64, n)
 	for i := range st.slow {
 		st.slow[i] = 1
 	}
-	st.live = make([]int, 0, n)
-	st.rebuildLive()
 }
 
-// rebuildLive regenerates the compact live-server list after a
-// membership change.
-func (st *loopState) rebuildLive() {
-	st.live = st.live[:0]
-	for i, d := range st.down {
-		if !d {
-			st.live = append(st.live, i)
-		}
+// setLive installs the membership snapshot a churn event produced. The
+// schedule passed validateChurn, so a refusal here is a bug.
+func (st *loopState) setLive(live *workload.Live, err error) {
+	if err != nil {
+		panic("sim: churn schedule escaped validation: " + err.Error())
 	}
-}
-
-// nextAlive probes deterministically for the first live server after
-// from — the backstop for policies whose pick doesn't read queue
-// lengths (round-robin, random) and so can land on a down server
-// despite the masked view.
-func (st *loopState) nextAlive(from int) int {
-	n := len(st.down)
-	for k := 1; k <= n; k++ {
-		if i := (from + k) % n; !st.down[i] {
-			return i
-		}
-	}
-	return from // unreachable: validation keeps ≥ 1 server live
-}
-
-// pickSQDLive is the degraded-mode SQ(d) pick, mirroring
-// internal/lb.(*LB).pickSQDLive: d distinct samples by partial
-// Fisher–Yates over the live-server list, least queue wins with
-// uniform tie-breaking. Sampling from the survivors (rather than all N
-// with dead entries masked) is what keeps SQ(d)'s law — and the QBD
-// bracket solved at (alive, ρ·N/alive) — intact through churn.
-//
-//finitelb:hotpath
-func (st *loopState) pickSQDLive(d int) int {
-	live := st.live
-	m := len(live)
-	if d > m {
-		d = m
-	}
-	best, bestLen, ties := -1, int32(math.MaxInt32), 0
-	for k := 0; k < d; k++ {
-		j := k + st.fr.IntN(m-k)
-		live[k], live[j] = live[j], live[k]
-		s := live[k]
-		switch l := st.qlen[s]; {
-		case l < bestLen:
-			best, bestLen, ties = s, l, 1
-		case l == bestLen:
-			ties++
-			if st.fr.IntN(ties) == 0 {
-				best = s
-			}
-		}
-	}
-	return best
-}
-
-// churnPick is the picker of a churn run. While every server is up it is
-// the policy's own picker with the exact churn-free draw sequence; on a
-// degraded farm SQ(d) samples among the survivors and every other policy
-// picks over the masked farm view, with the next-alive probe behind it.
-type churnPick struct {
-	base picker // SQ(d)'s concrete picker; the farm-view adapter otherwise
-	sqdD int    // the SQ(d) policy's d, 0 for every other policy
-}
-
-//finitelb:hotpath
-func (c *churnPick) pick(st *loopState) int {
-	if st.downCnt == 0 {
-		return c.base.pick(st)
-	}
-	if c.sqdD > 0 {
-		return st.pickSQDLive(c.sqdD)
-	}
-	best := c.base.pick(st)
-	if st.down[best] {
-		best = st.nextAlive(best)
-	}
-	return best
+	st.live = live
 }
 
 // note re-keys server i in whichever min-index is active after a
-// membership change or a redistributed push; a down server is masked out
-// at +Inf.
+// membership change or a redistributed push. The indexes stay keyed by
+// server id over the whole farm; a down server's key is +Inf, so the
+// argmin is always a live server and the view reports its rank.
 func (st *loopState) note(i int) {
+	down := st.isDown(i)
 	if st.lenTree != nil {
 		key := float64(st.qlen[i])
-		if st.down[i] {
+		if down {
 			key = math.Inf(1)
 		}
 		st.lenTree.Update(i, key)
 	}
 	if st.workTree != nil {
-		if st.down[i] {
+		if down {
 			st.workTree.Update(i, math.Inf(1))
 		} else {
 			st.noteWork(i)
@@ -210,9 +131,7 @@ func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
 		st.unit = false
 		return
 	case workload.ChurnRestore:
-		st.down[i] = false
-		st.downCnt--
-		st.rebuildLive()
+		st.setLive(st.live.With(i))
 		st.note(i)
 		return
 	}
@@ -245,14 +164,13 @@ func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
 		sv.completion = math.Inf(1)
 		st.trk.update(i, math.Inf(1))
 	}
-	st.down[i] = true
-	st.downCnt++
-	st.rebuildLive()
+	st.setLive(st.live.Without(i))
 	st.note(i)
 
-	// Redistribute the orphans through the dispatch policy at the event
-	// instant, arrival stamps preserved — the lost time surfaces in the
-	// measured sojourns, exactly as live redelivery does.
+	// Redistribute the orphans through the dispatch policy — already the
+	// picker of the smaller farm — at the event instant, arrival stamps
+	// preserved: the lost time surfaces in the measured sojourns, exactly
+	// as live redelivery does.
 	st.now = ev.T
 	for _, o := range orphans {
 		best := pk.pick(st)

@@ -109,28 +109,51 @@ func TestChurnNeverFiringBitIdentical(t *testing.T) {
 }
 
 // TestChurnCrashMatchesDegradedFarm is the simulator twin of the live
-// chaos calibration: crash k of N at t=0 with the offered rate fixed at
-// ρ·N, and the run must reproduce the (N−k, ρ·N/(N−k)) system — same
-// aggregate rate, SQ(d) over the survivors — within statistical error.
+// chaos calibration, and the oracle that licenses re-pinning
+// TestChurnGoldens: crash k of N at t=0 with the offered rate fixed at
+// ρ·N, and the run must reproduce the (N−k, ρ·N/(N−k)) system — the same
+// policy on the survivors at the same aggregate rate — for every policy:
+// within statistical error of an independently seeded direct run, and,
+// because the survivors' farm gets the policy's ordinary picker and no
+// draw depends on a server's id, bit for bit equal to the direct run at
+// the same seed. The victims are adjacent on purpose: a picker that
+// repairs a pick on a down server by probing its successor hands server
+// 0 the share of 2 and 3 on top of its own (3/4 of round-robin's and
+// random's traffic), which this test then rejects.
 func TestChurnCrashMatchesDegradedFarm(t *testing.T) {
 	const jobs = 200_000
-	got, err := Run(sqd.Params{N: 4, D: 2, Rho: 0.45}, Options{Jobs: jobs, Seed: 7, Churn: churnOf(
-		workload.ChurnEvent{Kind: workload.ChurnCrash, T: 0, Server: 1},
+	crash := churnOf(
+		workload.ChurnEvent{Kind: workload.ChurnCrash, T: 0, Server: 2},
 		workload.ChurnEvent{Kind: workload.ChurnCrash, T: 0, Server: 3},
-	)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(sqd.Params{N: 2, D: 2, Rho: 0.9}, Options{Jobs: jobs, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := 6*(got.HalfWidth+want.HalfWidth) + 0.1
-	t.Logf("crashed N=4→2: %.4f ± %.4f; direct N=2 ρ=0.9: %.4f ± %.4f (tol %.3f)",
-		got.MeanDelay, got.HalfWidth, want.MeanDelay, want.HalfWidth, tol)
-	if d := got.MeanDelay - want.MeanDelay; d < -tol || d > tol {
-		t.Errorf("crashed-farm mean %.4f vs degraded-farm mean %.4f: outside tolerance %.3f",
-			got.MeanDelay, want.MeanDelay, tol)
+	)
+	for _, policy := range []string{"sqd:2", "jsq", "jiq", "lwl", "rr", "random"} {
+		pol, err := workload.ParsePolicy(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(sqd.Params{N: 4, D: 2, Rho: 0.45}, Options{Jobs: jobs, Seed: 7, Policy: pol, Churn: crash})
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := sqd.Params{N: 2, D: 2, Rho: 0.9}
+		twin, err := Run(small, Options{Jobs: jobs, Seed: 7, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != twin {
+			t.Errorf("%s: crashed farm is not the smaller farm at the same seed:\ncrashed %+v\ndirect  %+v", policy, got, twin)
+		}
+		want, err := Run(small, Options{Jobs: jobs, Seed: 11, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := 6*(got.HalfWidth+want.HalfWidth) + 0.1
+		t.Logf("%-6s crashed N=4→2: %.4f ± %.4f; direct N=2 ρ=0.9: %.4f ± %.4f (tol %.3f)",
+			policy, got.MeanDelay, got.HalfWidth, want.MeanDelay, want.HalfWidth, tol)
+		if d := got.MeanDelay - want.MeanDelay; d < -tol || d > tol {
+			t.Errorf("%s: crashed-farm mean %.4f vs degraded-farm mean %.4f: outside tolerance %.3f",
+				policy, got.MeanDelay, want.MeanDelay, tol)
+		}
 	}
 }
 
@@ -153,15 +176,25 @@ func TestChurnSlowRaisesDelay(t *testing.T) {
 	}
 }
 
-// TestChurnGoldens pins churn runs bit for bit. The Results were captured
-// at commit 8a2d7fb, where churn ran on its own interface-dispatched event
-// loop, immediately before churn became an event source of the one typed
-// loop — so that move is draw-identical by test. The schedule exercises
+// TestChurnGoldens pins churn runs bit for bit. The schedule exercises
 // every simulated kind (crash with redistribution, graceful leave with an
-// in-service residual, slow, restore). At N = 10 the four policies cover
-// each degraded-mode pick path: SQ(d) over the survivors, a length scan
-// and a work scan through the masked view, and the length-blind
-// next-alive backstop; the N = 100 rows add the masked min-index trees.
+// in-service residual, slow, restore) and leaves the farm one server
+// short to the end. At N = 10 the four policies cover SQ(d)'s sample, a
+// length scan, a work scan and a length-blind cursor over the rank view;
+// the N = 100 rows add the min-index trees.
+//
+// The sqd:2 row and both N = 100 rows are the Results captured at commit
+// 8a2d7fb, before churn moved onto the one typed loop; they survived the
+// move to the rank view untouched (a fresh SQ(d) permutation over the
+// survivors draws what the old survivor list drew, and a tree argmin
+// draws the same descent whether it is reported as an id or a rank). The
+// jsq, rr and lwl rows at N = 10 were re-pinned once, when a degraded
+// farm became the policy's ordinary picker on the alive servers: from
+// the first membership event on, the scans rotate their origin with
+// IntN(alive) over ranks instead of IntN(N) over a masked view, and
+// round-robin's cursor restarts over the survivors instead of probing
+// the successor of a down server. TestChurnCrashMatchesDegradedFarm is
+// the oracle that licenses the re-pin.
 func TestChurnGoldens(t *testing.T) {
 	spec, err := workload.ParseChurn("crash@200,leave@400,slow@600@f=2,restore@2000")
 	if err != nil {
@@ -174,9 +207,9 @@ func TestChurnGoldens(t *testing.T) {
 		want   Result
 	}{
 		{"sqd:2", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 2.01996227448456, MeanWait: 1.01996227448456, HalfWidth: 0.07017650723703793, Jobs: 30000, MaxQueue: 8, P50: 1.4476800818050808, P95: 5.754650636982901, P99: 9.300092397207594}},
-		{"jsq", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.373890604477093, MeanWait: 0.3738906044770931, HalfWidth: 0.050804313527406775, Jobs: 30000, MaxQueue: 5, P50: 0.9323450234446055, P95: 4.178689443140948, P99: 6.753181100290354}},
-		{"rr", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 126.64803914903462, MeanWait: 125.64803914903462, HalfWidth: 7.9144340754765645, Jobs: 30000, MaxQueue: 980, P50: 2.2033442777970422, P95: 685.5131467993142, P99: 772.917006579852}},
-		{"lwl", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.230184380795622, MeanWait: 0.2301843807956221, HalfWidth: 0.05222200833811207, Jobs: 30000, MaxQueue: 9, P50: 0.8780477199413352, P95: 3.5608252627329775, P99: 5.754650636982901}},
+		{"jsq", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.3817365656976963, MeanWait: 0.3817365656976963, HalfWidth: 0.04776709306732452, Jobs: 30000, MaxQueue: 5, P50: 0.9511802764434862, P95: 4.178689443140948, P99: 6.753181100290354}},
+		{"rr", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 67.2246065349557, MeanWait: 66.2246065349557, HalfWidth: 5.443637597566384, Jobs: 30000, MaxQueue: 919, P50: 1.5682572930148795, P95: 685.5131467993142, P99: 1224.376497438467}},
+		{"lwl", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.2116443516708268, MeanWait: 0.21164435167082685, HalfWidth: 0.029790847993403695, Jobs: 30000, MaxQueue: 8, P50: 0.8780477199413352, P95: 3.4903138713917317, P99: 5.419515033387207}},
 		{"jsq", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.1148603523300884, MeanWait: 0.1148603523300884, HalfWidth: 0.014485475407236006, Jobs: 300000, MaxQueue: 3, P50: 0.7787553520143207, P95: 3.3534522354191125, P99: 5.103896839254332}},
 		{"lwl", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.0505534665693943, MeanWait: 0.0505534665693943, HalfWidth: 0.010443046573498876, Jobs: 300000, MaxQueue: 7, P50: 0.7482189202129556, P95: 3.0343189471832916, P99: 4.711478037874681}},
 	} {

@@ -60,15 +60,13 @@ type loopState struct {
 	// Failure-domain state (churn.go), allocated only for churn runs.
 	// churn is the schedule still to fire and nextChurn its head's time,
 	// +Inf once exhausted or without churn — the loop's third event
-	// source costs churn-free runs that one compare. down marks
-	// departed/crashed servers, downCnt counts them, live is the compact
-	// live-server list the degraded-mode SQ(d) samples from, and slow
-	// holds per-server service-duration multipliers (1 = none).
+	// source costs churn-free runs that one compare. live is the
+	// membership snapshot behind the farm view's ranks (nil while every
+	// pick is concrete, so churn-free built-in wirings never touch it), and
+	// slow holds per-server service-duration multipliers (1 = none).
 	churn     []workload.ChurnEvent
 	nextChurn float64
-	down      []bool
-	downCnt   int
-	live      []int
+	live      *workload.Live
 	slow      []float64
 
 	// buf holds measured sojourns until they are flushed to res in one
@@ -116,13 +114,18 @@ func (st *loopState) workAt(i int) float64 {
 	return s.pending/st.speeds[i] + rem
 }
 
+// isDown reports whether server i is out of the farm.
+//
+//finitelb:hotpath
+func (st *loopState) isDown(i int) bool { return st.live != nil && st.live.Rank(i) < 0 }
+
 // noteLen re-keys server i in the length index after a departure left it
 // with l jobs. A down server stays masked: the in-service job a graceful
 // leave lets finish must not bring its server back into the index.
 //
 //finitelb:hotpath
 func (st *loopState) noteLen(i int, l int32) {
-	if st.down != nil && st.down[i] {
+	if st.isDown(i) {
 		return
 	}
 	st.lenTree.Update(i, float64(l))
@@ -136,7 +139,7 @@ func (st *loopState) noteLen(i int, l int32) {
 //
 //finitelb:hotpath
 func (st *loopState) noteWork(i int) {
-	if st.down != nil && st.down[i] {
+	if st.isDown(i) {
 		return
 	}
 	if st.qlen[i] == 0 {
@@ -162,14 +165,10 @@ type typedRunner struct {
 func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *typedRunner {
 	st := newLoopState(p, w, warmup, res, seed)
 	pk := st.concretePicker(w.policy)
-	if _, sqd := pk.(*sqdPick); pk == nil || len(w.churn) > 0 && !sqd {
-		// On a churn run every policy but SQ(d) — whose degraded pick
-		// samples the survivors and never reads a down server — picks
-		// over the farm view, which is where down servers are masked.
+	if pk == nil || len(w.churn) > 0 {
+		// The concrete pickers read the whole farm by id; a farm whose
+		// membership changes picks over the rank view of its live servers.
 		pk = st.adapterPicker(w.policy)
-	}
-	if len(w.churn) > 0 {
-		pk = &churnPick{base: pk, sqdD: w.sqdD}
 	}
 	return &typedRunner{st: st, run: bindArr(st, w, pk)}
 }

@@ -316,7 +316,7 @@ func TestTypedChunkedRuns(t *testing.T) {
 // sketch/ring growth all happens in the warm phase. The churn rows arm a
 // schedule that fires entirely inside the warm phase (churn events
 // themselves may allocate) and leaves the farm degraded and slowed, so
-// the measured chunks run the survivor picks and the slow multiply.
+// the measured chunks run the rank-view picks and the slow multiply.
 func TestAllocFreeEventPath(t *testing.T) {
 	pareto, err := workload.NewBoundedPareto(1.5, 1000)
 	if err != nil {
@@ -356,8 +356,8 @@ func TestAllocFreeEventPath(t *testing.T) {
 		tr := newTypedRunner(p, w, 0, newSimStream(opts.BatchSize), opts.Seed)
 		jobs := int64(50_000) // warm: grow rings, touch tail-estimator state
 		tr.run(jobs)
-		if tc.churn && (len(tr.st.churn) != 0 || tr.st.downCnt == 0) {
-			t.Fatalf("%s: schedule did not fire in the warm phase (%d events left, %d down)", name, len(tr.st.churn), tr.st.downCnt)
+		if tc.churn && (len(tr.st.churn) != 0 || tr.st.live.Alive() == tc.n) {
+			t.Fatalf("%s: schedule did not fire in the warm phase (%d events left, %d alive)", name, len(tr.st.churn), tr.st.live.Alive())
 		}
 		const chunk = 10_000
 		avg := testing.AllocsPerRun(5, func() {

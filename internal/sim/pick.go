@@ -16,8 +16,8 @@ import (
 // workload counterpart's rng consumption exactly — same draws, same
 // order — which TestPickersMatchWorkload pins picker by picker and the
 // loop equivalence tests pin end to end. A user-supplied policy — and
-// every non-SQ(d) policy on a churn run — picks through ifacePick over
-// the farm view instead.
+// every policy on a churn run — picks through ifacePick over the farm
+// view instead.
 //
 // pick is one indirect call per arrival (the pickers are held as this
 // interface); everything inside is concrete.
@@ -190,39 +190,31 @@ type randPick struct{ n int }
 func (pk randPick) pick(st *loopState) int { return st.fr.IntN(pk.n) }
 
 // farm is the workload.Queues view of the loop state that interface
-// pickers read; it also implements WorkQueues for work-aware policies and
-// the Argmin views when the matching min-index is on. Down servers are
-// masked here — worst-possible length and work — so length- and
-// work-scanning pickers route around them; the concrete pickers read the
-// true mirrors and never run on a degraded farm (see churnPick).
+// pickers read: the farm of the live servers, addressed by rank in
+// st.live. It also implements WorkQueues for work-aware policies and the
+// Argmin views when the matching min-index is on. A down server has no
+// rank, so no picker ever reads one; the concrete pickers read the id
+// mirrors directly and run only where membership never changes.
 type farm struct{ st *loopState }
 
-func (f farm) N() int { return len(f.st.qlen) }
+func (f farm) N() int { return f.st.live.Alive() }
 
 //finitelb:hotpath
-func (f farm) Len(i int) int {
-	if f.st.down != nil && f.st.down[i] {
-		return math.MaxInt32
-	}
-	return int(f.st.qlen[i])
-}
+func (f farm) Len(r int) int { return int(f.st.qlen[f.st.live.ID(r)]) }
 
 //finitelb:hotpath
-func (f farm) Work(i int) float64 {
-	if f.st.down != nil && f.st.down[i] {
-		return math.Inf(1)
-	}
-	return f.st.workAt(i)
-}
+func (f farm) Work(r int) float64 { return f.st.workAt(f.st.live.ID(r)) }
 
 // ArgminLen implements workload.ArgminQueues when the length index is on.
+// The index is keyed by server id with down servers at +Inf (see note),
+// so its argmin is live and has a rank.
 //
 //finitelb:hotpath
 func (f farm) ArgminLen(rng *rand.Rand) (int, bool) {
 	if f.st.lenTree == nil {
 		return 0, false
 	}
-	return f.st.lenTree.Argmin(rng), true
+	return f.st.live.Rank(f.st.lenTree.Argmin(rng)), true
 }
 
 // ArgminWork implements workload.ArgminWorkQueues when the work index is on.
@@ -232,24 +224,43 @@ func (f farm) ArgminWork(rng *rand.Rand) (int, bool) {
 	if f.st.workTree == nil {
 		return 0, false
 	}
-	return f.st.workTree.Argmin(rng), true
+	return f.st.live.Rank(f.st.workTree.Argmin(rng)), true
 }
 
-// ifacePick adapts a workload.Picker to the loop. The view is boxed once
-// here; boxing it per Pick would be a conversion on the event path.
+// ifacePick adapts a workload policy to the loop: the policy's ordinary
+// picker for the live servers over the rank view, rebuilt whenever the
+// membership snapshot changes (control-plane-rare, so round-robin's
+// cursor and SQ(d)'s permutation restart there), the picked rank mapped
+// back to a server id. The view is boxed once here; boxing it per Pick
+// would be a conversion on the event path.
 type ifacePick struct {
-	pk workload.Picker
-	q  workload.Queues
+	pol  workload.Policy
+	live *workload.Live // the snapshot pk was built for
+	pk   workload.Picker
+	q    workload.Queues
 }
 
 //finitelb:hotpath
-func (p ifacePick) pick(st *loopState) int { return p.pk.Pick(st.std, p.q) }
+func (p *ifacePick) pick(st *loopState) int {
+	if p.live != st.live {
+		p.rebind(st.live)
+	}
+	return p.live.ID(p.pk.Pick(st.std, p.q))
+}
 
-// adapterPicker builds the adapter for a policy.
-func (st *loopState) adapterPicker(pol workload.Policy) picker {
-	pk, err := pol.NewPicker(len(st.qlen))
+func (p *ifacePick) rebind(live *workload.Live) {
+	pk, err := live.NewPicker(p.pol)
 	if err != nil {
 		panic("sim: unresolved wiring: " + err.Error())
 	}
-	return ifacePick{pk: pk, q: farm{st}}
+	p.live, p.pk = live, pk
+}
+
+// adapterPicker builds the adapter for a policy; a churn-free stream gets
+// the all-up snapshot here, where rank and id coincide.
+func (st *loopState) adapterPicker(pol workload.Policy) picker {
+	if st.live == nil {
+		st.live = workload.NewLive(len(st.qlen))
+	}
+	return &ifacePick{pol: pol, q: farm{st}}
 }

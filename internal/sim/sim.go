@@ -82,13 +82,14 @@ type Options struct {
 	// a re-executed job draws a fresh requirement); leave lets the
 	// in-service job complete and redistributes only the waiting jobs;
 	// slow multiplies service durations starting after the event. While
-	// servers are down, SQ(d) samples among the survivors — the same
-	// degraded-mode law as internal/lb — so a crash of k of N at fixed
-	// offered load reproduces the (N−k, ρ·N/(N−k)) system. The schedule
-	// is a third event source of the event loop, ahead of arrivals and
-	// completions at equal instants; until its first event fires a run is
-	// bit-identical to the churn-free one. Churn cannot be combined with
-	// Trace.
+	// servers are down every policy is its ordinary picker on the alive
+	// servers (workload.Live, the same rule as internal/lb; round-robin's
+	// cursor and SQ(d)'s permutation restart at each membership change),
+	// so a crash of k of N at fixed offered load reproduces the
+	// (N−k, ρ·N/(N−k)) system. The schedule is a third event source of
+	// the event loop, ahead of arrivals and completions at equal
+	// instants; until its first event fires a run is bit-identical to the
+	// churn-free one. Churn cannot be combined with Trace.
 	Churn *workload.Churn
 }
 
@@ -137,11 +138,8 @@ type wiring struct {
 	// the event loop then draws each job's requirement at arrival and
 	// exposes per-server work through the workload.WorkQueues view.
 	workAware bool
-	// churn is the validated schedule (nil for churn-free runs); sqdD
-	// caches the SQ(d) policy's d for the degraded-mode live-set sampling
-	// (0 otherwise).
+	// churn is the validated schedule (nil for churn-free runs).
 	churn []workload.ChurnEvent
-	sqdD  int
 }
 
 // resolve validates the workload options against p and freezes them into a
@@ -184,9 +182,6 @@ func resolve(p sqd.Params, o Options) (wiring, error) {
 		return wiring{}, err
 	}
 	_, w.workAware = w.policy.(workload.WorkAware)
-	if s, ok := w.policy.(workload.SQD); ok {
-		w.sqdD = s.D
-	}
 	evs, err := validateChurn(o.Churn, p.N)
 	if err != nil {
 		return wiring{}, err
