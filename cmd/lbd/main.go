@@ -62,11 +62,9 @@
 //	lbd -loadgen 20000 -n 10 -d 2 -rho 0.9 -arrival poisson -mean-service 2ms
 //
 // -dispatchers D fans the generated load across D concurrent dispatcher
-// goroutines sharing the farm (the multi-front-end model), and -batch K
-// bounds how many overdue arrivals one dispatcher drains per wake-up when
-// the offered rate outruns per-job pacing. At N ≥ 64, JSQ and LWL route
-// through the hierarchical min-index (see internal/minindex), so -n 10000
-// farms dispatch in O(log N).
+// goroutines sharing the farm (the multi-front-end model). At N ≥ 64, JSQ
+// and LWL route through the hierarchical min-index (see internal/minindex),
+// so -n 10000 farms dispatch in O(log N).
 //
 // -pprof ADDR (e.g. -pprof :6060) serves net/http/pprof on a separate
 // listener in either mode, so dispatch-path profiles can be captured from
@@ -145,7 +143,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "RNG seed for sampling choices and drawn workloads")
 		loadgen     = flag.Int64("loadgen", 0, "run the built-in load generator for this many jobs and exit (0 = serve HTTP)")
 		dispatchers = flag.Int("dispatchers", 1, "concurrent dispatcher goroutines sharing the farm (loadgen mode)")
-		burstBatch  = flag.Int("batch", 64, "max overdue arrivals one dispatcher drains per wake-up (loadgen mode)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty = off")
 		traceEvery  = flag.Int("trace", 0, "trace 1 of every N jobs into the flight recorder (rounded to a power of two; 0 = off)")
 		traceCap    = flag.Int("trace-cap", 4096, "flight-recorder ring capacity in spans (rounded to a power of two)")
@@ -217,7 +214,6 @@ func main() {
 		RetryBackoff: *retryBackoff,
 		Deadline:     *deadline,
 		Hedge:        *hedge,
-		Chaos:        *chaosOn || *churnSpec != "",
 	})
 	if err != nil {
 		fatal(err)
@@ -238,7 +234,7 @@ func main() {
 		if churn != nil {
 			go replayChurn(farm, churn)
 		}
-		if err := runLoadGen(farm, arr, svc, pol, *n, *d, *rho, *loadgen, *seed, *dispatchers, *burstBatch); err != nil {
+		if err := runLoadGen(farm, arr, svc, pol, *n, *d, *rho, *loadgen, *seed, *dispatchers); err != nil {
 			fatal(err)
 		}
 		return
@@ -326,13 +322,12 @@ func pprofMux() *http.ServeMux {
 
 // runLoadGen drives the farm and prints the measurement next to the
 // analytic bracket where one exists.
-func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol workload.Policy, n, d int, rho float64, jobs int64, seed uint64, dispatchers, batch int) error {
+func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol workload.Policy, n, d int, rho float64, jobs int64, seed uint64, dispatchers int) error {
 	fmt.Printf("offering %d jobs: %s arrivals at ρ=%g, %s service, policy %s, %d dispatcher(s)\n",
 		jobs, specName(arr, "poisson"), rho, svc, pol, max(dispatchers, 1))
 	t0 := time.Now()
 	s, err := farm.RunLoadGen(context.Background(), lb.GenConfig{
-		Arrival: arr, Service: svc, Rho: rho, Jobs: jobs, Seed: seed,
-		Dispatchers: dispatchers, Batch: batch,
+		Arrival: arr, Service: svc, Rho: rho, Jobs: jobs, Seed: seed, Dispatchers: dispatchers,
 	})
 	if err != nil {
 		return err
@@ -359,16 +354,13 @@ func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol wor
 		if err != nil {
 			return nil // e.g. d > n after an explicit -policy sqd:D
 		}
-		for t := 3; t <= 4; t++ {
-			b, err := sys.DelayBounds(t)
-			if err != nil {
-				continue // upper-bound model unstable at this T; try tighter
-			}
-			fmt.Printf("\npaper's QBD bracket for SQ(%d), N=%d, ρ=%g at T=%d: [%.4f, %.4f]; asymptotic %.4f\n",
-				sq.D, n, rho, t, b.Lower.MeanDelay, b.Upper.MeanDelay, sys.AsymptoticDelay())
+		b, t, err := walkBounds(sys, maxPredictBlock)
+		if err != nil {
+			fmt.Printf("\n(no QBD bracket at ρ=%g: %v)\n", rho, err)
 			return nil
 		}
-		fmt.Printf("\n(no stable QBD upper bound by T=4 at ρ=%g; raise T offline for the bracket)\n", rho)
+		fmt.Printf("\npaper's QBD bracket for SQ(%d), N=%d, ρ=%g at T=%d: [%.4f, %.4f]; asymptotic %.4f\n",
+			sq.D, n, rho, t, b.Lower.MeanDelay, b.Upper.MeanDelay, sys.AsymptoticDelay())
 	}
 	return nil
 }
@@ -444,8 +436,11 @@ func newMux(d *daemon) http.Handler {
 		}
 		work := 0.0
 		if q := r.URL.Query().Get("work"); q != "" {
-			if _, err := fmt.Sscanf(q, "%g", &work); err != nil || !(work > 0) {
-				http.Error(w, "work must be a positive number", http.StatusBadRequest)
+			// The farm's own checkWork range, enforced at the door so
+			// inf/nan/overflow never reach Do.
+			var err error
+			if work, err = strconv.ParseFloat(q, 64); err != nil || !(work > 0) || work > 1e9 {
+				http.Error(w, "work must be a number in (0, 1e9]", http.StatusBadRequest)
 				return
 			}
 		} else {

@@ -61,7 +61,11 @@ func TestWorkEndpoint(t *testing.T) {
 	}
 
 	// Invalid work.
-	for _, q := range []string{"?work=-1", "?work=0", "?work=banana"} {
+	for _, q := range []string{
+		"?work=-1", "?work=0", "?work=banana",
+		"?work=1.5abc", "?work=2%203", "?work=1e3x", // trailing garbage
+		"?work=inf", "?work=nan", "?work=1e400", "?work=2e9", // outside (0, 1e9]
+	} {
 		rec = httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("POST", "/work"+q, nil))
 		if rec.Code != 400 {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"finitelb"
 	"finitelb/internal/lb"
 	"finitelb/internal/trace"
 	"finitelb/internal/workload"
@@ -161,6 +163,24 @@ func TestPredictedGaugesOrdered(t *testing.T) {
 	}
 	if snap.t < 3 {
 		t.Errorf("threshold %d below the starting T", snap.t)
+	}
+}
+
+// TestWalkBoundsPastUnstableT: at ρ = 0.98 the N = 3 upper-bound chain is
+// unstable through T = 4, so the walk both modes share must keep raising
+// T inside the block budget, and report the instability once the budget
+// runs out.
+func TestWalkBoundsPastUnstableT(t *testing.T) {
+	sys, err := finitelb.NewSystem(3, 2, 0.98)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, T, err := walkBounds(sys, maxPredictBlock)
+	if err != nil || T < 5 || !(b.Lower.MeanDelay <= b.Upper.MeanDelay) {
+		t.Errorf("walk: T=%d bracket [%v, %v] err %v, want a bracket at T ≥ 5", T, b.Lower.MeanDelay, b.Upper.MeanDelay, err)
+	}
+	if _, _, err := walkBounds(sys, 15); !errors.Is(err, finitelb.ErrUnstable) { // C(6,4) = 15: stops after T = 4
+		t.Errorf("walk on a T ≤ 4 budget: %v, want ErrUnstable", err)
 	}
 }
 

@@ -58,50 +58,51 @@ func newPredicted(pol workload.Policy, svc workload.Service, spd []float64, n in
 	return p
 }
 
+// walkBounds raises T from 3 until the upper-bound chain is stable and
+// returns that bracket with its T. Larger T tightens the bracket and
+// widens the upper bound's stability region, at block size C(N+T−1, T);
+// the walk gives up, with the last instability as the reason, once the
+// block would exceed maxBlock.
+func walkBounds(sys *finitelb.System, maxBlock int) (finitelb.Bounds, int, error) {
+	err := fmt.Errorf("no stable bracket within block budget %d", maxBlock)
+	for t := 3; statespace.Binomial(sys.N()+t-1, t) <= float64(maxBlock); t++ {
+		b, terr := sys.DelayBounds(t)
+		if terr == nil {
+			return b, t, nil
+		}
+		err = terr
+		if !errors.Is(terr, finitelb.ErrUnstable) {
+			break
+		}
+	}
+	return finitelb.Bounds{}, 0, err
+}
+
 func (p *predicted) solve(n, d int, rho float64) {
-	fail := func(reason string) {
+	fail := func(err error) {
 		p.mu.Lock()
-		p.failed = reason
+		p.failed = err.Error()
 		p.ready = true
 		p.mu.Unlock()
 	}
 	sys, err := finitelb.NewSystem(n, d, rho)
 	if err != nil {
-		fail(err.Error())
+		fail(err)
 		return
 	}
-	// Larger T tightens the bracket and widens the upper bound's stability
-	// region, at block size C(N+T−1, T); walk up until the solve fits and
-	// succeeds.
-	var lastErr error
-	for t := 3; ; t++ {
-		if statespace.Binomial(n+t-1, t) > maxPredictBlock {
-			reason := fmt.Sprintf("no stable bracket within block budget %d", maxPredictBlock)
-			if lastErr != nil {
-				reason = lastErr.Error()
-			}
-			fail(reason)
-			return
-		}
-		b, err := sys.DelayBounds(t)
-		if err != nil {
-			if errors.Is(err, finitelb.ErrUnstable) {
-				lastErr = err
-				continue
-			}
-			fail(err.Error())
-			return
-		}
-		br, err := sys.DelayDistributionBracket(t)
-		p.mu.Lock()
-		p.t = t
-		p.meanLo, p.meanHi = b.Lower.MeanDelay, b.Upper.MeanDelay
-		if err == nil {
-			p.p99Lo, p.p99Hi = br.Quantile(0.99)
-			p.tailP99 = true
-		}
-		p.ready = true
-		p.mu.Unlock()
+	b, t, err := walkBounds(sys, maxPredictBlock)
+	if err != nil {
+		fail(err)
 		return
 	}
+	br, err := sys.DelayDistributionBracket(t)
+	p.mu.Lock()
+	p.t = t
+	p.meanLo, p.meanHi = b.Lower.MeanDelay, b.Upper.MeanDelay
+	if err == nil {
+		p.p99Lo, p.p99Hi = br.Quantile(0.99)
+		p.tailP99 = true
+	}
+	p.ready = true
+	p.mu.Unlock()
 }

@@ -190,17 +190,15 @@
 //
 // The dispatch path is also multi-producer: lb.GenConfig.Dispatchers fans
 // the open-loop generator across D goroutines sharing one farm (table,
-// index, idle stack) — the multi-front-end model, cmd/lbd -dispatchers —
-// and GenConfig.Batch (-batch) lets each dispatcher drain up to K overdue
-// arrivals per sleeper wake-up, amortizing pacing costs under burst.
-// BenchmarkDispatchContended/D={1,2,4,8} tracks the shared-state cost of
-// fan-in (on a single-core host ns/op holding flat as D grows is the
-// no-collapse ceiling; scaling with D needs cores), and
+// index, idle stack) — the multi-front-end model, cmd/lbd -dispatchers.
+// Each dispatcher paces on an absolute timeline, and a sleeper wake-up
+// submits every overdue arrival under one clock read, so a generator
+// that has fallen behind catches up without paying the pacing cost per
+// job. BenchmarkDispatchContended/D={1,2,4,8} tracks the shared-state
+// cost of fan-in (on a single-core host ns/op holding flat as D grows is
+// the no-collapse ceiling; scaling with D needs cores), and
 // BenchmarkPick's N=10000 rows show sub-µs indexed picks two decades past
-// where the scan gave out. When a drained burst lands several jobs on the same
-// server, the generator coalesces them into a single channel send per
-// server per wake-up (pure transport — D=1 runs stay draw-identical to
-// the unbatched stream, pinned by test).
+// where the scan gave out.
 //
 // # Simulator performance
 //
@@ -388,10 +386,9 @@
 //     that raced a change re-picks on the freshly loaded snapshot, so
 //     routing follows membership without a lock. JIQ's idle stack is
 //     that policy's picker on this host (hints from down servers have
-//     no rank and are discarded). Config.Chaos arms the
-//     crash-interruptible service path from the start (otherwise it
-//     arms on the first fault, and a job already sleeping uninterrupted
-//     through the very first crash completes instead of requeueing).
+//     no rank and are discarded). Every service sleep polls its
+//     server's crash flag, on any farm, so a crash interrupts the job
+//     in service within 2×crashPoll plus the sleeper margin.
 //   - Deterministic mirror (internal/sim): Options.Churn replays the
 //     same event kinds on the simulator's virtual clock, so any churn
 //     scenario is seed-reproducible and cheap to sweep; a churn run

@@ -84,7 +84,6 @@ func main() {
 		QueueCap:    1 << 16,
 		BatchSize:   50,
 		RetryBudget: 5,
-		Chaos:       true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -110,7 +110,8 @@ func main() {
 	// at N=1000 caps dispatch near 80k jobs/sec. At N ≥ 64 the runtime
 	// routes JSQ through a hierarchical min-index (internal/minindex), so
 	// the same experiment runs at N=2000 with several dispatcher
-	// goroutines sharing one farm, paced by burst batching.
+	// goroutines sharing one farm, each submitting every overdue arrival
+	// per wake-up.
 	const (
 		bigN    = 2000
 		bigJobs = 40_000
@@ -131,7 +132,7 @@ func main() {
 		bigN, bigJobs, bigRho, bigRho*bigN/bigMean.Seconds()/1e3)
 	t0 := time.Now()
 	big, err := bigFarm.RunLoadGen(context.Background(), lb.GenConfig{
-		Rho: bigRho, Jobs: bigJobs, Seed: 7, Dispatchers: 4, Batch: 128,
+		Rho: bigRho, Jobs: bigJobs, Seed: 7, Dispatchers: 4,
 	})
 	if err != nil {
 		log.Fatal(err)

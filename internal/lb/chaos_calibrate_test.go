@@ -51,7 +51,6 @@ func TestChaosCalibrationRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm(lb) // chunked sleeps from the start: the crash must interrupt service
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup

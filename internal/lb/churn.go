@@ -37,13 +37,9 @@ func (lb *LB) Leave(i int) error { return lb.takeDown(i, false) }
 
 // Crash fails server i abruptly: like Leave, but the in-service job is
 // interrupted mid-service (its completed work is lost) and redelivered
-// along with the queue. The service sleep polls the crash flag every
-// crashPoll, so a crash lands within ~2ms regardless of job length.
-// One nuance: the polling is armed by the farm's first-ever fault
-// injection (churn-free farms keep the cheaper single sleep), so a job
-// already in service at that first fault completes as if the server
-// left gracefully; every service that starts afterwards is
-// crash-interruptible.
+// along with the queue. Every service sleep polls the crash flag (see
+// sleepService), so a crash lands within 2×crashPoll plus the sleeper
+// margin regardless of job length, on any farm.
 func (lb *LB) Crash(i int) error { return lb.takeDown(i, true) }
 
 func (lb *LB) takeDown(i int, crash bool) error {
@@ -53,7 +49,6 @@ func (lb *LB) takeDown(i int, crash bool) error {
 	if err != nil {
 		return fmt.Errorf("lb: %w", err)
 	}
-	lb.churny.Store(true)
 	// Snapshot first, flag second: see LB.live.
 	lb.live.Store(live)
 	s := &lb.slots[i]
@@ -118,7 +113,6 @@ func (lb *LB) SetSlow(i int, factor float64) error {
 		lb.slots[i].slowBits.Store(0)
 		return nil
 	}
-	lb.churny.Store(true)
 	lb.slots[i].slowBits.Store(math.Float64bits(factor))
 	return nil
 }
@@ -136,7 +130,6 @@ func (lb *LB) Stall(i int, d time.Duration) error {
 	}
 	lb.memberMu.Lock()
 	defer lb.memberMu.Unlock()
-	lb.churny.Store(true)
 	lb.slots[i].stallUntil.Store(time.Now().Add(d).UnixNano())
 	return nil
 }
@@ -168,11 +161,10 @@ func (lb *LB) pauseWait(p *chan struct{}) error {
 	}
 }
 
-// crashPoll bounds how long a crash waits for the in-service sleep to
-// notice it, and is therefore the chunk size of the interruptible
-// service sleep. Only farms that have seen churn pay the chunking (the
-// churny flag gates it); everyone else keeps the single compensated
-// sleep.
+// crashPoll is the nap between crash-flag polls of a service sleep
+// (sleepService): a crash waits at most 2×crashPoll plus the sleeper
+// margin for the in-service job to notice it, and only jobs longer than
+// that pay any extra wake-ups.
 const crashPoll = 2 * time.Millisecond
 
 // scheduleRetry routes a job orphaned by a crash or leave (or bounced
@@ -257,7 +249,7 @@ func (lb *LB) redispatch(j job, hedge bool) {
 	if j.trace >= 0 {
 		lb.tr.Enqueued(j.trace, lb.rel(time.Now()))
 	}
-	lb.servers[target].ch <- envelope{j: j}
+	lb.servers[target].ch <- j
 }
 
 // finalizeDrop resolves a job that leaves the system unserved after

@@ -11,12 +11,6 @@ import (
 	"finitelb/internal/workload"
 )
 
-// arm flips the farm into the fault-injection regime (chunked,
-// crash-interruptible service sleeps) without otherwise perturbing it,
-// so a single mid-test Crash interrupts in-service jobs instead of
-// riding on the first-fault arming nuance documented on Crash.
-func arm(lb *LB) { lb.churny.Store(true) }
-
 // conserve asserts the failure-domain ledger: every accepted job either
 // completed or was dropped with a count, and the drain abandoned none.
 func conserve(t *testing.T, lb *LB, st DrainStats) {
@@ -95,7 +89,6 @@ func TestCrashInterruptsAndRedelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm(lb)
 	// One long job (≈300ms) lands on one of the two idle servers.
 	var counted atomic.Int64
 	if _, err := lb.submit(300, nil, &counted); err != nil {
@@ -139,7 +132,6 @@ func TestRetryBudgetExhaustionDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm(lb)
 	ch := make(chan Done, 1)
 	if _, err := lb.submit(2000, ch, nil); err != nil { // ≈100ms at 50µs
 		t.Fatal(err)

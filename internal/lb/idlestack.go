@@ -32,6 +32,7 @@ func newIdleStack(n int) *idleStack {
 }
 
 // push adds server id to the stack top.
+//
 //finitelb:hotpath
 func (st *idleStack) push(id int) {
 	for {
@@ -45,6 +46,7 @@ func (st *idleStack) push(id int) {
 }
 
 // tryPop removes and returns the most recently pushed server id.
+//
 //finitelb:hotpath
 func (st *idleStack) tryPop() (int, bool) {
 	for {

@@ -110,15 +110,6 @@ type Config struct {
 	// record, however the race falls). Costs one allocation and one
 	// timer per job; off (0) the dispatch path is unchanged.
 	Hedge time.Duration
-	// Chaos arms the failure-domain machinery from the start: service
-	// sleeps are chunked crash-interruptible immediately, instead of
-	// only after the first fault lands. Without it, jobs already in
-	// service when the *first* crash arrives run to completion (later
-	// faults interrupt normally) — fine for a farm that never churns,
-	// surprising for one built to be crashed. Set it when churn is
-	// expected (cmd/lbd does for -churn and -chaos); it costs a few
-	// timer wake-ups per service, nothing on the dispatch path.
-	Chaos bool
 	// Trace, when non-nil, attaches a flight recorder: sampled jobs get
 	// lifecycle spans (arrival → pick → enqueue → service start →
 	// completion, with the chosen server and the queue length seen) and
@@ -286,15 +277,12 @@ type LB struct {
 	// Shutdown begins: it flushes pending retry backoffs, unblocks a
 	// dispatcher pause, and stops RunChurn. chClosed flips just before
 	// the server channels close; redispatch brackets against it exactly
-	// as submitAt brackets against closed. churny turns on the
-	// crash-interruptible (chunked) service sleep the first time any
-	// fault is injected, so churn-free farms keep the single-sleep path.
+	// as submitAt brackets against closed.
 	memberMu sync.Mutex
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	chClosed atomic.Bool
 	retryWG  sync.WaitGroup
-	churny   atomic.Bool
 	pause    atomic.Pointer[chan struct{}]
 
 	// live is the membership snapshot, republished under memberMu on
@@ -357,6 +345,7 @@ func (q *qview) Len(r int) int { return int(q.lb.slots[q.live.ID(r)].qlen.Load()
 // Work implements workload.WorkQueues: the server's time-to-drain in
 // service-time units — queued (not yet started) work divided by the
 // server's speed, plus the in-service wall-clock remainder.
+//
 //finitelb:hotpath
 func (q *qview) Work(r int) float64 {
 	i := q.live.ID(r)
@@ -374,6 +363,7 @@ func (q *qview) Work(r int) float64 {
 // The indexes are keyed by server id over the whole farm with a down
 // server at the ceiling, so the argmin is a live server unless it raced a
 // membership change; then ok = false sends the picker to its scan.
+//
 //finitelb:hotpath
 func (q *qview) argminRank(t *minindex.Conc, rng *rand.Rand) (int, bool) {
 	if t == nil {
@@ -385,6 +375,7 @@ func (q *qview) argminRank(t *minindex.Conc, rng *rand.Rand) (int, bool) {
 
 // ArgminLen implements workload.ArgminQueues when the length index is on:
 // a uniformly-tie-broken shortest queue in O(log N) tree reads.
+//
 //finitelb:hotpath
 func (q *qview) ArgminLen(rng *rand.Rand) (int, bool) { return q.argminRank(q.lb.lenTree, rng) }
 
@@ -395,6 +386,7 @@ func (q *qview) ArgminLen(rng *rand.Rand) (int, bool) { return q.argminRank(q.lb
 // busy server by at most the elapsed part of its in-service job; both
 // orderings agree whenever backlogs differ by at least one job, which is
 // when LWL's choice matters.
+//
 //finitelb:hotpath
 func (q *qview) ArgminWork(rng *rand.Rand) (int, bool) { return q.argminRank(q.lb.workTree, rng) }
 
@@ -436,9 +428,6 @@ func New(cfg Config) (*LB, error) {
 		stopCh:        make(chan struct{}),
 	}
 	lb.live.Store(workload.NewLive(cfg.N))
-	if cfg.Chaos {
-		lb.churny.Store(true)
-	}
 	_, lb.jiq = cfg.Policy.(workload.JIQ)
 	_, lb.workAware = cfg.Policy.(workload.WorkAware)
 	if cfg.N >= minindex.Threshold {
@@ -491,7 +480,7 @@ func New(cfg Config) (*LB, error) {
 		lb.servers[i] = &server{
 			id:    i,
 			speed: speeds[i],
-			ch:    make(chan envelope, cfg.QueueCap),
+			ch:    make(chan job, cfg.QueueCap),
 		}
 		go lb.servers[i].run(lb)
 	}
@@ -567,6 +556,7 @@ func checkWork(work float64) error {
 // closed; a redelivery of an already accepted job ignores the pause and
 // runs until chClosed, the later gate. On nil the caller owes
 // inflight.Done.
+//
 //finitelb:hotpath
 func (lb *LB) enter(external bool) error {
 	gate := &lb.chClosed
@@ -592,6 +582,7 @@ func (lb *LB) enter(external bool) error {
 // dispatcherAt borrows a pooled dispatcher for picks at instant now (LWL
 // reads in-service remainders against it); return it with
 // lb.dispatchers.Put.
+//
 //finitelb:hotpath
 func (lb *LB) dispatcherAt(now time.Time) *dispatcher {
 	d := lb.dispatchers.Get().(*dispatcher)
@@ -602,8 +593,9 @@ func (lb *LB) dispatcherAt(now time.Time) *dispatcher {
 }
 
 // submitAt is submit with the arrival stamp supplied by the caller: the
-// load generator's burst path drains several overdue arrivals per sleeper
-// wake-up and stamps the whole burst with one clock read.
+// load generator drains every overdue arrival on a sleeper wake-up and
+// stamps them all with one clock read.
+//
 //finitelb:hotpath
 func (lb *LB) submitAt(arrival time.Time, work float64, done chan<- Done, counted *atomic.Int64) (int, error) {
 	if err := checkWork(work); err != nil {
@@ -638,22 +630,21 @@ func (lb *LB) submitAt(arrival time.Time, work float64, done chan<- Done, counte
 		lb.tr.Enqueued(j.trace, lb.rel(time.Now()))
 	}
 	// Cannot block: qlen ≤ QueueCap bounds channel occupancy by the
-	// channel's own capacity (an envelope never carries more jobs than
-	// queue reservations).
-	lb.servers[target].ch <- envelope{j: j}
+	// channel's own capacity.
+	lb.servers[target].ch <- j
 	return target, nil
 }
 
-// admit is the per-job admission stage shared by submitAt, submitBurst
-// and the redelivery path: pick a live target with the caller's
-// dispatcher (from dispatcherAt), reserve a queue slot, and update every
-// ledger and index. The pick is the policy's picker over the live
+// admit is the per-job admission stage shared by submitAt and the
+// redelivery path: pick a live target with the caller's dispatcher (from
+// dispatcherAt), reserve a queue slot, and update every ledger and index. The pick is the policy's picker over the live
 // servers' ranks, whatever the policy and however many servers are down.
 // The job is prebuilt by the caller — admit never creates or aborts
 // trace spans and never counts acceptance, so redeliveries of an
 // already-accepted job reuse it unchanged. ErrQueueFull means the picked
 // server's queue was full (the rejection is counted, nothing needs
 // unwinding). The caller owns the send.
+//
 //finitelb:hotpath
 func (lb *LB) admit(d *dispatcher, j *job) (int, error) {
 	var target int
@@ -697,115 +688,6 @@ func (lb *LB) admit(d *dispatcher, j *job) (int, error) {
 		}
 	}
 	return target, nil
-}
-
-// burstScratch is the reusable staging area of one generator goroutine's
-// submitBurst calls; it keeps the burst path allocation-free apart from
-// the pooled per-send buffers.
-type burstScratch struct {
-	jobs    []job
-	targets []int32
-}
-
-// submitBurst routes a burst of jobs sharing one arrival stamp — the
-// load generator's overdue arrivals drained on a single wake-up — and
-// coalesces all jobs routed to the same server into one channel send
-// (ROADMAP PR-4 follow-up: one send per server per wake-up). Target
-// picks consume the dispatcher rng exactly as the same sequence of
-// submitAt calls would, so D = 1 runs stay draw-identical to the
-// unbatched generator; per-job admission is unchanged (full queues
-// reject individual jobs, counted by the farm). It returns the number of
-// jobs accepted.
-//finitelb:hotpath
-func (lb *LB) submitBurst(arrival time.Time, works []float64, counted *atomic.Int64, sc *burstScratch) (int, error) {
-	if len(works) == 0 {
-		return 0, nil
-	}
-	if err := lb.enter(true); err != nil {
-		return 0, err
-	}
-	defer lb.inflight.Done()
-
-	// Validate the whole burst before reserving anything: an invalid work
-	// mid-burst must not abandon queue reservations and ledger entries
-	// already staged for earlier jobs.
-	for _, work := range works {
-		if err := checkWork(work); err != nil {
-			return 0, err
-		}
-	}
-
-	d := lb.dispatcherAt(arrival)
-	deadlineNs := int64(0)
-	if lb.cfg.Deadline > 0 {
-		deadlineNs = arrival.Add(lb.cfg.Deadline).UnixNano()
-	}
-	sc.jobs = sc.jobs[:0]
-	sc.targets = sc.targets[:0]
-	for _, work := range works {
-		j := job{work: work, arrival: arrival, counted: counted, deadlineNs: deadlineNs, trace: trace.None}
-		if lb.tr != nil {
-			j.trace = lb.tr.Start(lb.rel(arrival))
-		}
-		target, err := lb.admit(d, &j)
-		if err != nil {
-			if j.trace >= 0 {
-				lb.tr.Abort(j.trace)
-			}
-			continue
-		}
-		lb.accepted.Add(1)
-		//lint:allow hotpath scratch capacity is Batch-sized at construction; appends never grow it
-		sc.jobs = append(sc.jobs, j)
-		//lint:allow hotpath scratch capacity is Batch-sized at construction; appends never grow it
-		sc.targets = append(sc.targets, int32(target))
-	}
-	lb.dispatchers.Put(d)
-	accepted := len(sc.jobs)
-
-	// Send phase: one envelope per distinct target. Same-target jobs are
-	// rare outside genuine bursts (the O(K²) group scan is over ≤ Batch
-	// int32s), and each group preserves arrival order. Sends cannot
-	// block: every staged job holds a queue reservation, and an envelope
-	// occupies at most as many channel slots as reservations it carries.
-	for i := range sc.jobs {
-		t := sc.targets[i]
-		if t < 0 {
-			continue // already sent in an earlier group
-		}
-		group := 1
-		for j := i + 1; j < len(sc.targets); j++ {
-			if sc.targets[j] == t {
-				group++
-			}
-		}
-		if group == 1 {
-			if h := sc.jobs[i].trace; h >= 0 {
-				lb.tr.Enqueued(h, lb.rel(time.Now()))
-			}
-			lb.servers[t].ch <- envelope{j: sc.jobs[i]}
-			continue
-		}
-		buf := batchPool.Get().(*[]job)
-		//lint:allow hotpath pooled buffer reaches Batch capacity after warmup and stops growing
-		*buf = append(*buf, sc.jobs[i])
-		for j := i + 1; j < len(sc.targets); j++ {
-			if sc.targets[j] == t {
-				//lint:allow hotpath pooled buffer reaches Batch capacity after warmup and stops growing
-				*buf = append(*buf, sc.jobs[j])
-				sc.targets[j] = -1
-			}
-		}
-		if lb.tr != nil {
-			for _, bj := range *buf {
-				if bj.trace >= 0 {
-					lb.tr.Enqueued(bj.trace, lb.rel(time.Now()))
-				}
-			}
-		}
-		lb.servers[t].ch <- envelope{batch: buf}
-	}
-	return accepted, nil
 }
 
 // DrainStats reports the fate of every job accepted before Shutdown.

@@ -106,7 +106,7 @@ func TestConcurrentDispatchAcrossMembershipFlips(t *testing.T) {
 		"sqd-scan": {N: 4},
 		"jsq-tree": {N: 2 * minindex.Threshold, Policy: workload.JSQ{}},
 	} {
-		cfg.MeanService, cfg.QueueCap, cfg.Chaos = 50*time.Microsecond, 32, true
+		cfg.MeanService, cfg.QueueCap = 50*time.Microsecond, 32
 		lb, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

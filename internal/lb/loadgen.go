@@ -2,6 +2,7 @@ package lb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -40,14 +41,6 @@ type GenConfig struct {
 	// sample-path split of one stream. Default 1, which reproduces the
 	// single-dispatcher generator draw for draw.
 	Dispatchers int
-	// Batch bounds how many overdue arrivals one dispatcher drains per
-	// sleeper wake-up. When the generator falls behind its absolute
-	// timeline (a burst, or simply a rate beyond one goroutine's
-	// sleep/wake throughput) it submits up to Batch due jobs back to back
-	// on a single wake-up and a single clock read, amortizing the
-	// per-arrival pacing cost; on-schedule traffic is untouched (every
-	// burst has length 1). Default 64.
-	Batch int
 }
 
 // RunLoadGen offers g.Jobs jobs to the farm at the configured load,
@@ -80,10 +73,6 @@ func (lb *LB) RunLoadGen(ctx context.Context, g GenConfig) (Summary, error) {
 	}
 	if int64(D) > g.Jobs {
 		D = int(g.Jobs)
-	}
-	K := g.Batch
-	if K < 1 {
-		K = 64
 	}
 	sum := 0.0
 	for _, s := range lb.speeds {
@@ -120,7 +109,7 @@ func (lb *LB) RunLoadGen(ctx context.Context, g GenConfig) (Summary, error) {
 		wg.Add(1)
 		go func(jobs int64, src workload.Source, rng *rand.Rand) {
 			defer wg.Done()
-			if err := lb.generate(ctx, g.Service, src, rng, jobs, K, &finished, &accepted); err != nil {
+			if err := lb.generate(ctx, g.Service, src, rng, jobs, &finished, &accepted); err != nil {
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -145,15 +134,17 @@ func (lb *LB) RunLoadGen(ctx context.Context, g GenConfig) (Summary, error) {
 	return lb.Summary(), ctx.Err()
 }
 
+// maxCatchUp bounds how many overdue arrivals one wake-up submits before
+// the generator re-reads the clock, so a generator far behind its
+// timeline still refreshes its arrival stamps.
+const maxCatchUp = 64
+
 // generate is one dispatcher goroutine: an absolute-timeline open loop
-// that, on each wake-up, drains every arrival already due (up to the
-// batch bound) and submits them as one burst — the arrival and service
-// draws interleave exactly as the historical one-submit-per-arrival
-// loop's did, and submitBurst coalesces same-target jobs into one
-// channel send per server per wake-up.
-func (lb *LB) generate(ctx context.Context, svc workload.Service, src workload.Source, rng *rand.Rand, jobs int64, batch int, finished, accepted *atomic.Int64) error {
-	works := make([]float64, 0, batch)
-	sc := &burstScratch{jobs: make([]job, 0, batch), targets: make([]int32, 0, batch)}
+// that, on each wake-up, submits every arrival already due (up to
+// maxCatchUp) under one clock read. Draws interleave per job: service
+// requirement, then the next interarrival gap. A full queue is a counted
+// rejection and the loop goes on; any other submit error stops it.
+func (lb *LB) generate(ctx context.Context, svc workload.Service, src workload.Source, rng *rand.Rand, jobs int64, finished, accepted *atomic.Int64) error {
 	next := time.Now().Add(durationNs(src.Next(rng) * lb.meanServiceNs))
 	for k := int64(0); k < jobs; {
 		lb.sleep.sleepUntil(next)
@@ -161,20 +152,19 @@ func (lb *LB) generate(ctx context.Context, svc workload.Service, src workload.S
 			return nil
 		}
 		now := time.Now()
-		works = works[:0]
-		for b := 0; b < batch; b++ {
-			works = append(works, svc.Sample(rng))
+		for b := 0; b < maxCatchUp; b++ {
+			work := svc.Sample(rng)
 			k++
 			next = next.Add(durationNs(src.Next(rng) * lb.meanServiceNs))
+			if _, err := lb.submitAt(now, work, nil, finished); err == nil {
+				accepted.Add(1)
+			} else if !errors.Is(err, ErrQueueFull) {
+				return err
+			}
 			if k == jobs || next.After(now) {
 				break
 			}
 		}
-		acc, err := lb.submitBurst(now, works, finished, sc)
-		if err != nil {
-			return err
-		}
-		accepted.Add(int64(acc))
 	}
 	return nil
 }

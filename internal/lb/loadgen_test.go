@@ -2,7 +2,7 @@ package lb
 
 import (
 	"context"
-	"math/rand/v2"
+	"math"
 	"testing"
 	"time"
 
@@ -30,7 +30,7 @@ func TestLoadGenMultiDispatcher(t *testing.T) {
 
 	const jobs = 6000
 	s, err := farm.RunLoadGen(context.Background(), GenConfig{
-		Rho: 0.7, Jobs: jobs, Seed: 5, Dispatchers: 4, Batch: 16,
+		Rho: 0.7, Jobs: jobs, Seed: 5, Dispatchers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestLoadGenDispatcherEdgeCases(t *testing.T) {
 	}
 	defer farm.Shutdown(context.Background())
 
-	if _, err := farm.RunLoadGen(context.Background(), GenConfig{Rho: 0.5, Jobs: 3, Dispatchers: 8, Batch: 4}); err != nil {
+	if _, err := farm.RunLoadGen(context.Background(), GenConfig{Rho: 0.5, Jobs: 3, Dispatchers: 8}); err != nil {
 		t.Errorf("D > Jobs: %v", err)
 	}
 	if _, err := farm.RunLoadGen(context.Background(), GenConfig{Rho: 0.5, Jobs: 3, Dispatchers: -1}); err == nil {
@@ -63,116 +63,69 @@ func TestLoadGenDispatcherEdgeCases(t *testing.T) {
 	}
 }
 
-// TestLoadGenBurstBatching runs a farm whose offered rate far outstrips
-// one sleep/wake per job, forcing the burst path; accounting must hold
-// and the run must finish quickly (the point of batching).
-func TestLoadGenBurstBatching(t *testing.T) {
-	farm, err := New(Config{N: 8, MeanService: time.Microsecond, QueueCap: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer farm.Shutdown(context.Background())
-
-	const jobs = 30000 // at ~1µs mean service and ρ=0.9: ~7.2M arrivals/sec offered
-	start := time.Now()
-	s, err := farm.RunLoadGen(context.Background(), GenConfig{Rho: 0.9, Jobs: jobs, Seed: 3, Batch: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Completed+s.Rejected != jobs {
-		t.Errorf("offered %d, completed %d + rejected %d", jobs, s.Completed, s.Rejected)
-	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Errorf("burst run took %v; batching is not engaging", elapsed)
-	}
-}
-
-// recordingService wraps a law and logs every draw, in order. The
-// generator draws single-goroutine at D = 1, so the log is a
-// deterministic transcript of the service stream.
-type recordingService struct {
-	inner workload.Service
-	log   *[]float64
-}
-
-func (r recordingService) Sample(rng *rand.Rand) float64 {
-	v := r.inner.Sample(rng)
-	*r.log = append(*r.log, v)
-	return v
-}
-func (r recordingService) Moment2() float64 { return r.inner.Moment2() }
-func (r recordingService) Validate() error  { return r.inner.Validate() }
-func (r recordingService) String() string   { return r.inner.String() }
-
-// TestBurstCoalescingDrawIdentity pins the per-server channel batching
-// satellite: coalescing same-target jobs into one send per server per
-// wake-up is pure transport — a D = 1 run with aggressive batching must
-// consume exactly the same generator draw sequence as the unbatched
-// (Batch = 1) run, and every offered job must still be accounted for.
-// LWL keeps the work-aware burst bookkeeping (pending/outwork ledgers)
-// under test; the drained farm's work index must return to all-idle.
-func TestBurstCoalescingDrawIdentity(t *testing.T) {
-	run := func(batch int) ([]float64, Summary) {
-		farm, err := New(Config{
-			N:           minindex.Threshold, // indexed LWL: work ledger + tree in the burst path
-			Policy:      workload.LWL{},
-			MeanService: time.Microsecond, // far beyond one sleep/wake per job: bursts guaranteed
-			QueueCap:    1 << 12,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if _, err := farm.Shutdown(ctx); err != nil {
+// TestLoadGenCatchesUpAndConserves runs farms whose offered rate (1µs
+// services: millions of arrivals per second) far outstrips one sleep/wake
+// per job, so the generator is always behind its timeline and every
+// wake-up drains a full catch-up round. Every offered job must be
+// accounted for and the run must finish quickly (the point of draining
+// overdue arrivals under one clock read). The indexed-LWL row keeps the
+// work-aware bookkeeping (pending/outwork ledgers, work index) under that
+// traffic: the drained farm's work index must return to all-idle.
+func TestLoadGenCatchesUpAndConserves(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		gen  GenConfig
+	}{
+		{"sqd2", Config{N: 8}, GenConfig{Rho: 0.9, Jobs: 30000, Seed: 3}},
+		{"indexed-lwl", Config{N: minindex.Threshold, Policy: workload.LWL{}}, GenConfig{Rho: 0.8, Jobs: 8000, Seed: 17}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.MeanService, tc.cfg.QueueCap = time.Microsecond, 1<<12
+			farm, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			s, err := farm.RunLoadGen(context.Background(), tc.gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Completed+s.Rejected != tc.gen.Jobs {
+				t.Errorf("offered %d, completed %d + rejected %d", tc.gen.Jobs, s.Completed, s.Rejected)
+			}
+			if elapsed := time.Since(start); elapsed > 20*time.Second {
+				t.Errorf("run took %v; the generator is not catching up", elapsed)
+			}
+			if _, err := farm.Shutdown(context.Background()); err != nil {
 				t.Errorf("shutdown: %v", err)
 			}
-		}()
-		var draws []float64
-		s, err := farm.RunLoadGen(context.Background(), GenConfig{
-			Service: recordingService{inner: workload.Exponential{}, log: &draws},
-			Rho:     0.8, Jobs: 8000, Seed: 17, Batch: batch,
+			if farm.workTree != nil {
+				if got := farm.workTree.Min(); got != 0 {
+					t.Errorf("drained farm's work index min = %d, want 0", got)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := farm.workTree.Min(); got != 0 {
-			t.Errorf("batch=%d: drained farm's work index min = %d, want 0", batch, got)
-		}
-		return draws, s
-	}
-	unbatchedDraws, unbatched := run(1)
-	batchedDraws, batched := run(256)
-
-	if unbatched.Completed+unbatched.Rejected != 8000 || batched.Completed+batched.Rejected != 8000 {
-		t.Errorf("job conservation broken: unbatched %d+%d, batched %d+%d of 8000",
-			unbatched.Completed, unbatched.Rejected, batched.Completed, batched.Rejected)
-	}
-	if len(unbatchedDraws) != len(batchedDraws) {
-		t.Fatalf("draw counts differ: unbatched %d, batched %d", len(unbatchedDraws), len(batchedDraws))
-	}
-	for i := range unbatchedDraws {
-		if unbatchedDraws[i] != batchedDraws[i] {
-			t.Fatalf("draw %d differs: unbatched %v, batched %v", i, unbatchedDraws[i], batchedDraws[i])
-		}
 	}
 }
 
-// TestSubmitBurstInvalidWorkLeaksNothing: an out-of-range requirement
-// anywhere in a burst must fail the whole burst before any queue
-// reservation or ledger entry is staged — a mid-burst abort would leak
-// phantom queue occupancy forever.
-func TestSubmitBurstInvalidWorkLeaksNothing(t *testing.T) {
+// TestInvalidWorkLeaksNothing: an out-of-range requirement is refused
+// before any queue reservation or ledger entry is made — a rejection
+// after reservation would leak phantom queue occupancy forever.
+func TestInvalidWorkLeaksNothing(t *testing.T) {
 	farm, err := New(Config{N: 4, Policy: workload.LWL{}, MeanService: 10 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer farm.Shutdown(context.Background())
 
-	sc := &burstScratch{}
-	if _, err := farm.submitBurst(time.Now(), []float64{1, 2, -1}, nil, sc); err == nil {
-		t.Fatal("invalid work accepted")
+	for _, work := range []float64{-1, 0, math.NaN(), math.Inf(1), 2e9} {
+		if err := farm.Dispatch(work); err == nil {
+			t.Errorf("Dispatch(%v) accepted", work)
+		}
+		if _, err := farm.Do(context.Background(), work); err == nil {
+			t.Errorf("Do(%v) accepted", work)
+		}
 	}
 	for i := 0; i < farm.n; i++ {
 		if l := farm.slots[i].qlen.Load(); l != 0 {
@@ -183,6 +136,6 @@ func TestSubmitBurstInvalidWorkLeaksNothing(t *testing.T) {
 		}
 	}
 	if got := farm.accepted.Load(); got != 0 {
-		t.Errorf("accepted %d jobs from an invalid burst", got)
+		t.Errorf("accepted %d invalid jobs", got)
 	}
 }

@@ -206,24 +206,20 @@ func (r *Recorder) Snapshot() Summary {
 // measurement.
 func (r *Recorder) TailBuckets(max int) []stats.TailBucket {
 	merged, _ := r.merge()
-	if merged.Sketch == nil {
-		return nil
-	}
 	return merged.Sketch.CumulativeBuckets(max)
 }
 
-// TailSketch returns a deep copy of the pooled sojourn sketch, or nil
-// before any measurement. Successive snapshots difference into
-// windowed quantiles via stats.(*Sketch).DiffQuantile — the measured
-// side of cmd/lbd's SLO-guarded load shedding.
+// TailSketch returns the pooled sojourn sketch — the caller's own copy,
+// merge builds it fresh — or nil before any measurement. Successive
+// snapshots difference into windowed quantiles via
+// stats.(*Sketch).DiffQuantile — the measured side of cmd/lbd's
+// SLO-guarded load shedding.
 func (r *Recorder) TailSketch() *stats.Sketch {
 	merged, _ := r.merge()
-	if merged.Sketch == nil || merged.N() == 0 {
+	if merged.N() == 0 {
 		return nil
 	}
-	c := stats.NewSketch(stats.DefaultAlpha, stats.DefaultSketchBudget)
-	c.Merge(merged.Sketch)
-	return c
+	return merged.Sketch
 }
 
 // StateBytes reports the total accumulator footprint across shards — the

@@ -2,26 +2,8 @@ package lb
 
 import (
 	"math"
-	"sync"
 	"time"
 )
-
-// envelope is what travels over a server's channel: either one job or a
-// coalesced burst of jobs for this server. The load generator's burst
-// path groups all same-target arrivals drained on one wake-up into a
-// single send (one channel operation, one buffer), so a K-job burst to
-// one server costs one handoff instead of K; the single-job path is
-// unchanged and allocation-free.
-type envelope struct {
-	j     job
-	batch *[]job // non-nil: the jobs, in arrival order; j is unused
-}
-
-// batchPool recycles burst buffers; the consuming server returns them.
-var batchPool = sync.Pool{New: func() any {
-	b := make([]job, 0, 64)
-	return &b
-}}
 
 // server is one backend: a goroutine draining its bounded FIFO channel,
 // rendering each job's service requirement in real time through the
@@ -31,7 +13,7 @@ var batchPool = sync.Pool{New: func() any {
 type server struct {
 	id    int
 	speed float64
-	ch    chan envelope
+	ch    chan job
 }
 
 func (s *server) run(lb *LB) {
@@ -47,16 +29,8 @@ func (s *server) run(lb *LB) {
 	// which on contended hosts would silently push the effective
 	// utilization past saturation.
 	var busyUntil time.Time
-	for e := range s.ch {
-		if e.batch != nil {
-			for _, j := range *e.batch {
-				busyUntil = s.serve(lb, slot, busyUntil, j)
-			}
-			*e.batch = (*e.batch)[:0]
-			batchPool.Put(e.batch)
-			continue
-		}
-		busyUntil = s.serve(lb, slot, busyUntil, e.j)
+	for j := range s.ch {
+		busyUntil = s.serve(lb, slot, busyUntil, j)
 	}
 }
 
@@ -133,22 +107,7 @@ func (s *server) serve(lb *LB, slot *slot, busyUntil time.Time, j job) time.Time
 		lb.scheduleRetry(j, time.Now())
 		return busyUntil
 	}
-	if slot.qlen.Add(-1) == 0 && lb.jiq && !slot.down.Load() {
-		// Queue drained: report idle (push at most once — the flag
-		// guards against a stale stack entry from a fallback dispatch).
-		if slot.onStack.CompareAndSwap(false, true) {
-			lb.idle.push(s.id)
-		}
-	}
-	if lb.lenTree != nil {
-		lb.lenTree.Update(s.id)
-	}
-	if lb.workTree != nil {
-		// The job's nominal work leaves the LWL index only now, at
-		// completion, so the index keeps counting the in-service job.
-		slot.outwork.Add(-j.workNs)
-		lb.workTree.Update(s.id)
-	}
+	s.dequeue(lb, slot, &j, true, true)
 	end := time.Now()
 	lb.rec.record(s.id, end.Sub(j.arrival), end.Sub(start))
 	if j.trace >= 0 {
@@ -163,15 +122,17 @@ func (s *server) serve(lb *LB, slot *slot, busyUntil time.Time, j job) time.Time
 	return deadline
 }
 
-// dequeue unwinds a queue reservation for a job leaving this server
-// unserved — the reverse of admit. started says the job already left
-// the pending ledger at service start; jiqPush lets a live server
+// dequeue unwinds a queue reservation for a job leaving this server,
+// served or not — the reverse of admit. started says the job already
+// left the pending ledger at service start; jiqPush lets a live server
 // report idle if this drained its queue.
 func (s *server) dequeue(lb *LB, slot *slot, j *job, started, jiqPush bool) {
 	if lb.workAware && !started {
 		slot.pending.Add(-j.workNs)
 	}
 	if slot.qlen.Add(-1) == 0 && jiqPush && lb.jiq && !slot.down.Load() {
+		// Queue drained: report idle (push at most once — the flag
+		// guards against a stale stack entry from a fallback dispatch).
 		if slot.onStack.CompareAndSwap(false, true) {
 			lb.idle.push(s.id)
 		}
@@ -180,34 +141,35 @@ func (s *server) dequeue(lb *LB, slot *slot, j *job, started, jiqPush bool) {
 		lb.lenTree.Update(s.id)
 	}
 	if lb.workTree != nil {
+		// A served job's nominal work leaves the LWL index only here, at
+		// completion, so the index keeps counting the in-service job.
 		slot.outwork.Add(-j.workNs)
 		lb.workTree.Update(s.id)
 	}
 }
 
-// sleepService renders the service duration, returning false if a
-// crash interrupted it. Churn-free farms (churny never set) keep the
-// single compensated sleep; once any fault has been injected the sleep
-// is chunked at crashPoll so a crash lands mid-service instead of
-// waiting the job out.
+// sleepService renders the service duration, returning false if a crash
+// interrupted it. While the deadline is comfortably far (more than two
+// polls plus the sleeper's learned overshoot margin) it naps in plain
+// crashPoll steps, checking the crash flag between them — a nap has no
+// deadline to hit, so it neither spins nor feeds the overshoot EWMA and
+// cannot carry the server past its deadline. The final stretch is the
+// one compensated sleep. A deadline already past (every job of a
+// zero-work farm) costs one flag load and one clock read.
 func (s *server) sleepService(lb *LB, slot *slot, deadline time.Time) bool {
-	if !lb.churny.Load() {
-		lb.sleep.sleepUntil(deadline)
-		return true
-	}
 	for {
 		if slot.crashed.Load() {
 			return false
 		}
-		now := time.Now()
-		rem := deadline.Sub(now)
+		rem := time.Until(deadline)
 		if rem <= 0 {
 			return true
 		}
-		if rem > crashPoll {
-			lb.sleep.sleepUntil(now.Add(crashPoll))
-		} else {
-			lb.sleep.sleepUntil(deadline)
+		if rem <= 2*crashPoll+time.Duration(lb.sleep.comp.Load()) {
+			break
 		}
+		time.Sleep(crashPoll)
 	}
+	lb.sleep.sleepUntil(deadline)
+	return !slot.crashed.Load()
 }

@@ -47,8 +47,8 @@ type slot struct {
 	// down marks the server out of the farm (Leave/Crash): pickers route
 	// around it and its goroutine requeues everything it dequeues.
 	down atomic.Bool
-	// crashed additionally interrupts the in-service job (the chunked
-	// service sleep polls it); cleared on Join.
+	// crashed additionally interrupts the in-service job (every service
+	// sleep polls it); cleared on Join.
 	crashed atomic.Bool
 
 	_ [128 - 8 - 8 - 8 - 8 - 8 - 4 - 1 - 1 - 1]byte

@@ -27,11 +27,11 @@ var DetRandAnalyzer = &analysis.Analyzer{
 // randConstructors are the package-level names of math/rand{,/v2} that
 // only build seeded values and never read global generator state.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewPCG":    true,
+	"New":        true,
+	"NewSource":  true,
+	"NewPCG":     true,
 	"NewChaCha8": true,
-	"NewZipf":   true,
+	"NewZipf":    true,
 }
 
 func runDetRand(pass *analysis.Pass) error {

@@ -121,10 +121,10 @@ func a() {
 
 func TestNormalizePath(t *testing.T) {
 	cases := map[string]string{
-		"finitelb/internal/sim":                               "finitelb/internal/sim",
-		"finitelb/internal/sim [finitelb/internal/sim.test]":  "finitelb/internal/sim",
+		"finitelb/internal/sim":                                   "finitelb/internal/sim",
+		"finitelb/internal/sim [finitelb/internal/sim.test]":      "finitelb/internal/sim",
 		"finitelb/internal/sim_test [finitelb/internal/sim.test]": "finitelb/internal/sim",
-		"finitelb/internal/sim.test":                          "finitelb/internal/sim",
+		"finitelb/internal/sim.test":                              "finitelb/internal/sim",
 	}
 	for in, want := range cases {
 		if got := normalizePath(in); got != want {

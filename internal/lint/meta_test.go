@@ -48,7 +48,7 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		"minindex/minindex.go": {"Update", "Argmin", "combine"},
 		"minindex/conc.go":     {"Update", "Argmin"},
 		// The live dispatch path carries the same guarantee per event.
-		"lb/lb.go":        {"submit", "submitAt", "enter", "dispatcherAt", "admit", "submitBurst", "durationNs", "Len", "Work", "argminRank", "ArgminLen", "ArgminWork"},
+		"lb/lb.go":        {"submit", "submitAt", "enter", "dispatcherAt", "admit", "durationNs", "Len", "Work", "argminRank", "ArgminLen", "ArgminWork"},
 		"lb/idlestack.go": {"push", "tryPop", "Pick"},
 		// The flight recorder rides the same event paths when tracing is
 		// on (TestAllocFreeEventPathTraced pins the trace-on floor).

@@ -86,6 +86,7 @@ func NewConc(n int, key func(i int) uint32) *Conc {
 // root. Call it after every change to the key's source (the table write
 // must happen before the call). Safe for any number of concurrent
 // callers; cost is O(log n) CASes, contended only near the root.
+//
 //finitelb:hotpath
 func (t *Conc) Update(i int) {
 	j := t.base + i
@@ -135,6 +136,7 @@ func (t *Conc) Min() uint32 {
 // follows the smaller child — a best-effort hint, which is all a
 // dispatcher racing live completions can ever have. Quiescent, the result
 // is an exact uniformly-tie-broken argmin.
+//
 //finitelb:hotpath
 func (t *Conc) Argmin(rng *rand.Rand) int {
 	j := 1

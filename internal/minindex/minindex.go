@@ -80,6 +80,7 @@ func (t *Seq) combine(j int) {
 
 // Update sets leaf i's key and repairs the path to the root, stopping
 // early once an ancestor's (min, count) is unchanged.
+//
 //finitelb:hotpath
 func (t *Seq) Update(i int, key float64) {
 	j := t.base + i
@@ -101,6 +102,7 @@ func (t *Seq) Min() float64 { return t.val[1] }
 
 // Argmin returns a uniformly chosen leaf among those holding the minimum
 // key, descending by tie counts.
+//
 //finitelb:hotpath
 func (t *Seq) Argmin(rng *rand.Rand) int {
 	j := 1

@@ -132,6 +132,7 @@ func (t *calTracker) update(id int, tm float64) {
 // the old minimum's position. Every remaining key is ≥ the old minimum
 // (it was the minimum), so the first in-window bucket minimum is the
 // global one.
+//
 //finitelb:hotpath
 func (t *calTracker) recompute(oldK uint64) {
 	if t.live == 0 {

@@ -140,11 +140,11 @@ type Recorder struct {
 	slots []slot
 	pend  []pending
 
-	mu                    sync.Mutex
-	alpha                 float64
-	budget                int
-	pick, wait, service   *stats.Sketch
-	pickN                 int64 // observations per stage (equal across stages)
+	mu                       sync.Mutex
+	alpha                    float64
+	budget                   int
+	pick, wait, service      *stats.Sketch
+	pickN                    int64 // observations per stage (equal across stages)
 	pickSum, waitSum, svcSum float64
 }
 

@@ -15,6 +15,9 @@ GOVULNCHECK_VERSION="${GOVULNCHECK_VERSION:-v1.1.3}"
 BIN="$(mktemp -d)"
 trap 'rm -rf "$BIN"' EXIT
 
+echo "==> gofmt"
+test -z "$(gofmt -l . | grep -v /testdata/)"
+
 echo "==> finitelint (internal/lint analyzers)"
 go build -o "$BIN/finitelint" ./cmd/finitelint
 go vet -vettool="$BIN/finitelint" ./...

@@ -13,8 +13,7 @@ echo "== loadgen mode =="
 "$bin" -loadgen 200 -n 4 -d 2 -rho 0.6 -mean-service 1ms -warmup 20
 
 echo "== loadgen mode: indexed JSQ, multi-dispatcher fan-in =="
-out=$("$bin" -loadgen 2000 -n 64 -policy jsq -rho 0.5 -mean-service 1ms \
-       -dispatchers 4 -batch 32)
+out=$("$bin" -loadgen 2000 -n 64 -policy jsq -rho 0.5 -mean-service 1ms -dispatchers 4)
 grep -q '4 dispatcher(s)' <<<"$out"
 
 echo "== serve mode =="
