@@ -21,6 +21,11 @@
 //	                        stall/pause/resume), only with -chaos
 //	GET  /healthz           liveness
 //
+// The listener hangs up on a connection that has not finished its request
+// headers within 5 s, closes a keep-alive connection idle for 120 s and
+// answers 431 to headers over 16 KiB; a request already admitted is never
+// timed out (POST /work answers when its job is done).
+//
 // -trace N samples one of every N jobs (a power of two; deterministic in
 // the job sequence, not the RNG) into a fixed -trace-cap ring of per-job
 // lifecycle spans: arrival → picked → enqueued → service start → done,
@@ -372,9 +377,31 @@ func specName(a workload.Arrival, def string) string {
 	return a.String()
 }
 
+// Listener limits. Without them a client that opens a socket and never
+// finishes its request headers holds a goroutine (and a descriptor) for
+// the life of the process. There is deliberately no whole-request read or
+// write timeout: POST /work carries no body and answers only when its job
+// is done, which a saturated farm may take arbitrarily long over.
+const (
+	readHeaderTimeout = 5 * time.Second   // first byte to end of headers
+	idleTimeout       = 120 * time.Second // keep-alive wait between requests
+	maxHeaderBytes    = 16 << 10          // net/http answers 431 beyond it
+)
+
+// newServer builds the farm's public listener; split out for tests.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // serve runs the HTTP front end until SIGINT/SIGTERM, then drains.
 func serve(d *daemon, addr string, bg *bgLoad) {
-	srv := &http.Server{Addr: addr, Handler: newMux(d)}
+	srv := newServer(addr, newMux(d))
 	go func() {
 		fmt.Printf("lbd listening on %s (N=%d)\n", addr, d.farm.N())
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -157,6 +161,80 @@ func TestPprofEndpoint(t *testing.T) {
 	if rec.Code == 200 {
 		t.Error("serve-mode mux exposes /debug/pprof/ without -pprof")
 	}
+}
+
+// TestListenerLimits drives newServer on a loopback socket with three raw
+// connections: one sends half a request line and then nothing — the
+// server must hang up on it (readHeaderTimeout; before the limits it was
+// held open forever); one sends headers past maxHeaderBytes and is answered
+// 431; one is a keep-alive connection that sits idle while the first one
+// times out — far less than idleTimeout — and must still be served on its
+// second request. The test sleeps readHeaderTimeout once and asserts only
+// that the close happens, not when.
+func TestListenerLimits(t *testing.T) {
+	srv := newServer("", newMux(&daemon{farm: testFarm(t), svc: workload.Exponential{}, seed: 1}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(readHeaderTimeout + 20*time.Second))
+		return c
+	}
+	healthz := func(c net.Conn, br *bufio.Reader) {
+		t.Helper()
+		if _, err := io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: lbd\r\n\r\n"); err != nil {
+			t.Fatalf("keep-alive write: %v", err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("keep-alive read: %v", err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body) // drained so the connection can be reused
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz status %d, body read: %v", resp.StatusCode, err)
+		}
+	}
+
+	half := dial()
+	if _, err := io.WriteString(half, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	keep := dial()
+	keepR := bufio.NewReader(keep)
+	healthz(keep, keepR)
+
+	big := dial()
+	// The server may answer and hang up before the whole request is
+	// written, so only the answer is checked.
+	_, _ = io.WriteString(big, "GET /healthz HTTP/1.1\r\nHost: lbd\r\nX-Pad: "+strings.Repeat("a", 4*maxHeaderBytes)+"\r\n\r\n")
+	resp, err := http.ReadResponse(bufio.NewReader(big), nil)
+	if err != nil {
+		t.Fatalf("oversized headers: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("oversized headers: status %d, want 431", resp.StatusCode)
+	}
+
+	// The stalled connection: reading to EOF returns only once the server
+	// has hung up (net/http takes the timed-out fragment for a malformed
+	// request line and says 400 first; a stall between header lines gets
+	// no answer at all).
+	reply, err := io.ReadAll(half)
+	if err != nil {
+		t.Fatalf("half-sent request line not closed by the server: %v", err)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 4") {
+		t.Errorf("half-sent request line answered %q", reply)
+	}
+	healthz(keep, keepR)
 }
 
 // TestDrainUnderBackgroundLoad pins the shutdown ordering: with the

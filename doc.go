@@ -233,17 +233,56 @@
 // moved off the interface copy, got faster (sim.ns_per_job.n10_churn
 // 138 → 116); the other sim_pluggable cells did not move.
 //
-// The completion tracker — "which server finishes next" — is concrete
-// and mode-selected by farm size: a flat scan at N ≤ 8, a 4-ary
-// (key, id) tournament tree, branch-free over the integer bit patterns
-// of the completion times, in the mid range and under heavy-tailed laws
-// (whose deep keys defeat the calendar's window sweep), and a calendar
-// queue that exploits the event loop's monotone re-key pattern for
-// amortized O(1) updates at N ≥ 512 under light-tailed service. The mode
-// never changes a draw. BenchmarkTracker is the crossover gauge, with the
-// retired container/heap binary heap (three interface calls per sift
-// level, ~half of all event time at N ≥ 250) kept in tracker_test.go as
-// the reference oracle.
+// The completion tracker — "which server finishes next" — is one
+// concrete structure at every farm size (internal/sim/tracker.go): a
+// 4-ary (key, id) tournament tree over fixed leaves, branch-free over the
+// integer bit patterns of the completion times, min and argmin one root
+// read. An update costs the same however far ahead the key lies and
+// whichever server is re-keyed, so heavy-tailed service laws and churn's
+// re-key of a non-minimum server are ordinary updates, and among equal
+// keys the lowest server id wins at every N. The retired container/heap
+// binary heap (three interface calls per sift level, ~half of all event
+// time at N ≥ 250) and the linear scan stay in tracker_test.go as the
+// reference oracles.
+//
+// Until PR 16 the tree was the middle one of three modes behind a
+// size-selected wrapper: a flat scan ran at N ≤ 8, and at N ≥ 512 under
+// light-tailed service a calendar queue exploited the loop's monotone
+// re-key pattern for amortized O(1) updates (heavy-tailed laws, whose
+// deep keys defeated its window sweep, stayed on the tree). The cutoffs
+// came from a tracker micro-benchmark that predated the one event loop.
+// Measured on bench/run.sh at seed 1, parent and change alternating — ten
+// untraced runs a side for the workload rows, three traced for the cells
+// (medians) — the modes no longer paid for their 280 lines and the
+// wrapper's branch on every min and update:
+//
+//	sim_paper      ops_per_s        5.671 M → 5.706 M   (+0.6 %)
+//	               latency_p50_us   363.2 k → 358.4 k   (−1.3 %)
+//	               latency_tail_us  1009.7 k → 998.0 k  (−1.2 %)
+//	sim_pluggable  ops_per_s        2.534 M → 2.773 M   (+9.5 %)
+//	               latency_tail_us  1478.9 k → 1249.8 k (−15.5 %)
+//	ns/job  n10_d2_rho75    111.3 → 107.0    n250_d2_rho75    121.9 → 117.1
+//	        n10_d2_rho95     98.1 →  95.5    n250_d50_rho95   611.1 → 603.9
+//	        n50_d10_rho95   220.0 → 216.6    n1000_d2_rho90   124.0 → 117.0
+//	        n10000_d2_rho90 143.3 → 151.4    n1000_jiq       1343.3 → 1136.1
+//
+// The calendar queue was worth 5.6 % ns/job on the one cell far past
+// cache, N = 10⁴, and that is given up knowingly: it does not reach the
+// workload's slowest-cell time (latency_tail_us, better), and every other
+// cell is 1–6 % faster without the wrapper. The flat scan was slower than
+// the tree where it was selected (cmd/sweep -mode sim over its five
+// default policies, 5.5 M jobs a run, process wall time, three
+// alternating runs, medians: N = 8, ρ = .75: 723 → 605 ms; N = 8,
+// ρ = .95: 619 → 545 ms; N = 4: 557 → 510 ms; N = 2: 454 → 456 ms). No
+// gain is claimed: most of sim_pluggable's movement is the n1000_jiq
+// cell, a 1000-entry queue scan the tracker is no part of, so more likely
+// code and cache layout than the algorithm. The calendar queue also
+// ordered simultaneous completions its own way; 1738 of 1740 sim.Run
+// results compared across the change were bit-identical, and the two that
+// were not — deterministic arrivals with deterministic service under
+// SQ(2) at N = 600 and 2000, the wiring whose completions tie exactly —
+// moved in the last digits of the mean or of its confidence half-width
+// (same sojourns, summed in another order).
 //
 // bash bench/run.sh is the measurement: workload sim_paper runs the
 // paper's wiring from spec strings through sim.Run on the Fig. 9 grid up
@@ -453,8 +492,8 @@
 //   - walltime — the same packages must not read the wall clock
 //     (time.Now, time.Since, timers); model code runs on simulated time
 //     only. internal/lb and cmd/ are live and exempt.
-//   - hotpath — functions annotated //finitelb:hotpath (the typed event
-//     loops, completion trackers, min-index pick paths, and the live
+//   - hotpath — functions annotated //finitelb:hotpath (the event
+//     loop, the completion tracker, min-index pick paths, and the live
 //     dispatch path) must avoid alloc-causing constructs: fmt/reflect/
 //     errors calls, capturing closures, append, string concatenation,
 //     and value-to-interface boxing. This is the source-level face of

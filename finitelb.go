@@ -73,20 +73,8 @@ type Bounds struct {
 // threshold T via Theorem 3's improved method (scalar rate ρᴺ): the larger
 // T, the tighter (and costlier) the bound.
 func (s *System) LowerBound(t int) (BoundResult, error) {
-	return s.lowerBound(t, true)
-}
-
-// LowerBoundMatrixGeometric computes the same lower bound through the full
-// Theorem 1 pipeline (logarithmic reduction + rate matrix R). It exists to
-// expose the accuracy/complexity comparison of Section IV-B; the result
-// matches LowerBound to solver precision.
-func (s *System) LowerBoundMatrixGeometric(t int) (BoundResult, error) {
-	return s.lowerBound(t, false)
-}
-
-func (s *System) lowerBound(t int, improved bool) (BoundResult, error) {
 	model := &sqd.LowerBound{P: sqd.BoundParams{Params: s.p, T: t}}
-	sol, err := qbd.Solve(model, qbd.Options{ImprovedLB: improved})
+	sol, err := qbd.Solve(model, qbd.Options{ImprovedLB: true})
 	if err != nil {
 		return BoundResult{}, fmt.Errorf("finitelb: lower bound: %w", err)
 	}
@@ -314,10 +302,14 @@ func (b *DelayBracket) Mean() (lower, upper float64) {
 }
 
 // DelayDistributionBracket solves both bound chains with threshold T and
-// returns the distributional bracket. The lower side uses the full
-// matrix-geometric pipeline (not Theorem 3's scalar shortcut) so the join
-// distribution is that of the actual lower-bound chain. Returns ErrUnstable
-// (wrapped) when the upper-bound chain is unstable at this (ρ, T).
+// returns the distributional bracket. The lower side is solved by the full
+// matrix-geometric pipeline, not by Theorem 3's scalar shortcut that
+// LowerBound uses: the two give the same mean delay
+// (TestLowerBoundPathsAgree) but not the same numbers under it — their π₁
+// differ by up to 1.9e-6 and the join weights by 1.1e-7 at block 330 —
+// and the quantiles built on this path are pinned to 1e-9
+// (bench/goldens/solve.json, p99_lower). Returns ErrUnstable (wrapped)
+// when the upper-bound chain is unstable at this (ρ, T).
 func (s *System) DelayDistributionBracket(t int) (*DelayBracket, error) {
 	lbModel := &sqd.LowerBound{P: sqd.BoundParams{Params: s.p, T: t}}
 	lbSol, err := qbd.Solve(lbModel, qbd.Options{})

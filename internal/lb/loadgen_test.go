@@ -139,3 +139,62 @@ func TestInvalidWorkLeaksNothing(t *testing.T) {
 		t.Errorf("accepted %d invalid jobs", got)
 	}
 }
+
+// TestLoadGenJobsAreHedged pins what PR 15's one hand-off decided for the
+// generator: its jobs arm Config.Hedge like every other job. Server 0 is
+// stalled holding a blocker job, and — server 1 being out of the farm —
+// the generated job can only queue behind it; server 1 then rejoins, the
+// hedge timer finds the job unclaimed and duplicates it, and the copy
+// completes on server 1 while server 0 is still frozen. When the stall
+// ends the original finds the claim taken and vanishes: the job is booked
+// once, and completed + dropped == accepted.
+func TestLoadGenJobsAreHedged(t *testing.T) {
+	const stall, hedge = 600 * time.Millisecond, 100 * time.Millisecond
+	farm, err := New(Config{N: 2, MeanService: time.Millisecond, Hedge: hedge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := farm.Leave(1); err != nil {
+		t.Fatal(err)
+	}
+	frozen := time.Now()
+	if err := farm.Stall(0, stall); err != nil {
+		t.Fatal(err)
+	}
+	if err := farm.Dispatch(1); err != nil { // the blocker: claimed by server 0, asleep until the stall ends
+		t.Fatal(err)
+	}
+	type genResult struct {
+		s   Summary
+		err error
+	}
+	done := make(chan genResult, 1)
+	go func() {
+		s, err := farm.RunLoadGen(context.Background(), GenConfig{Rho: 0.5, Jobs: 1, Seed: 9})
+		done <- genResult{s, err}
+	}()
+	for farm.slots[0].qlen.Load() < 2 { // the generated job has queued behind the blocker
+		if time.Since(frozen) > stall {
+			t.Fatal("the generated job never reached the stalled server")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := farm.Join(1); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if elapsed := time.Since(frozen); elapsed >= stall {
+		t.Errorf("generated job finished %v after the freeze, not before the %v stall ended: it was not served by the second server", elapsed, stall)
+	}
+	if o := r.s.Outcomes; o.Completed != 1 || o.Requeued != 1 || o.Retried != 1 || o.Dropped != 0 {
+		t.Errorf("ledger when the generator returned: %+v, want the one generated job completed through one hedge copy", o)
+	}
+	st := mustShutdown(t, farm)
+	conserve(t, farm, st)
+	if st.Completed != 2 || st.Dropped != 0 {
+		t.Errorf("drain stats %+v, want blocker + generated job completed once each", st)
+	}
+}

@@ -41,9 +41,8 @@ func TestHotPathCoversAllocFreeEventPath(t *testing.T) {
 		// rest of the pick set (one stray fmt call in any of them would
 		// put allocations on some policy's event path).
 		"sim/pick.go": {"pick", "Len", "Work", "ArgminLen", "ArgminWork"},
-		// Completion trackers: the mode-selected implementations.
-		"sim/tracker.go":  {"min", "update", "min4"},
-		"sim/calendar.go": {"min", "update", "bucket", "recompute"},
+		// The completion tracker: the tournament tree.
+		"sim/tracker.go": {"min", "update", "min4"},
 		// The min-index trees behind jsq-indexed and lwl-work-aware.
 		"minindex/minindex.go": {"Update", "Argmin", "combine"},
 		"minindex/conc.go":     {"Update", "Argmin"},

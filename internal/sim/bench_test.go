@@ -2,10 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"testing"
 
-	"finitelb/internal/minindex"
 	"finitelb/internal/sqd"
 	"finitelb/internal/trace"
 	"finitelb/internal/workload"
@@ -75,8 +73,7 @@ func BenchmarkSimJobs(b *testing.B) {
 // noise of each other), sample=1024 is the production setting, and
 // sample=1 the worst case — every job pays the span writes and the
 // three stage-sketch observations. Allocs stay 0 at any rate (ring,
-// pending table, and sketches are preallocated); CI runs this at
-// -benchtime 1x as the trace-overhead sanity.
+// pending table, and sketches are preallocated).
 func BenchmarkSimJobsTraced(b *testing.B) {
 	for _, every := range []int{1024, 1} {
 		b.Run(fmt.Sprintf("sample=%d/N=250", every), func(b *testing.B) {
@@ -95,78 +92,5 @@ func BenchmarkSimJobsTraced(b *testing.B) {
 			b.ResetTimer()
 			tr.run(opts.Jobs)
 		})
-	}
-}
-
-// trackerLike generalizes the completion trackers for the crossover
-// benchmark: each mode of the shipped tracker forced at every size, the
-// retired container/heap binary heap (kept in tracker_test.go as the
-// reference oracle), and a minindex.Seq adapter, which must pay a full
-// argmin descent per min to *name* the completing server — the
-// structural reason it loses as an event tracker despite winning as a
-// dispatch index.
-type trackerLike interface {
-	update(id int, t float64)
-	min() (float64, int)
-}
-
-type seqTrackerBench struct {
-	tree *minindex.Seq
-	rng  *rand.Rand
-}
-
-func (s *seqTrackerBench) update(id int, t float64) { s.tree.Update(id, t) }
-func (s *seqTrackerBench) min() (float64, int)      { return s.tree.Min(), s.tree.Argmin(s.rng) }
-
-// BenchmarkTracker isolates the completion tracker: per-op one update of a
-// random server's completion time plus one min query, the exact per-event
-// footprint of the event loop. It is the crossover gauge for linearCutoff
-// and calCutoff.
-func BenchmarkTracker(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func(n int) trackerLike
-	}{
-		{"linear", func(n int) trackerLike {
-			t := &tracker{nodes: make([]tnode, n), n: n}
-			for i := range t.nodes {
-				t.nodes[i] = tnode{tb: infBits, id: int32(i)}
-			}
-			return t
-		}},
-		{"calendar", func(n int) trackerLike {
-			t := &tracker{n: n}
-			t.cal.init(n)
-			return t
-		}},
-		{"tour", func(n int) trackerLike { return newTourTracker(n) }},
-		{"heap2-container", func(n int) trackerLike { return newRefHeapTracker(n) }},
-		{"seq-tree", func(n int) trackerLike {
-			return &seqTrackerBench{tree: minindex.NewSeq(n), rng: rand.New(rand.NewPCG(9, 9))}
-		}},
-	}
-	for _, n := range []int{4, 8, 16, 32, 64, 250, 1000, 10000} {
-		for _, im := range impls {
-			b.Run(fmt.Sprintf("%s/N=%d", im.name, n), func(b *testing.B) {
-				trk := im.mk(n)
-				rng := rand.New(rand.NewPCG(1, 2))
-				for i := 0; i < n; i++ {
-					trk.update(i, rng.Float64())
-				}
-				// Event-loop-shaped op: re-key the current min to a fresh
-				// completion a service time ahead of a slowly advancing
-				// clock — the exact departure pattern of the simulator.
-				clock := 0.0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_, id := trk.min()
-					if id < 0 {
-						id = rng.IntN(n)
-					}
-					clock += 1.0 / float64(n)
-					trk.update(id, clock+rng.ExpFloat64())
-				}
-			})
-		}
 	}
 }

@@ -29,7 +29,7 @@ type loopState struct {
 	// (the minindex tie-break descents, the workload-interface adapters);
 	// draws interleave on one stream.
 	std *rand.Rand
-	trk *tracker
+	trk *tourTracker
 	res *stats.Stream
 	// tr is the optional flight-recorder adapter (nil = tracing off).
 	// Every hook below sits behind a nil check and consumes no rng
@@ -191,8 +191,7 @@ func newLoopState(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed 
 		st.servers[i].init(st.workAware)
 	}
 	st.qlen = make([]int32, p.N)
-	_, heavy := w.service.(workload.BoundedPareto)
-	st.trk = newTrackerFor(p.N, heavy)
+	st.trk = newTourTracker(p.N)
 	st.unit = true
 	for _, sp := range w.speeds {
 		if sp != 1 {

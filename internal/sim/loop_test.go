@@ -60,8 +60,8 @@ func runAdapterStream(p sqd.Params, w wiring, jobs, warmup, batchSize int64, see
 // dispatch cost only.
 func TestTypedLoopMatchesInterfaceLoop(t *testing.T) {
 	for name, tw := range testWirings(t) {
-		// 6: linear tracker + scan pickers; 100: tournament tracker +
-		// indexed pickers; 600 (≥ calCutoff): the calendar-queue tracker.
+		// 6: scan pickers; 100: indexed pickers (≥ minindex.Threshold);
+		// 600: a farm well past the threshold.
 		for _, n := range []int{6, 100, 600} {
 			p := sqd.Params{N: n, D: 2, Rho: 0.85}
 			o := tw.opts
@@ -252,36 +252,6 @@ func (wrappedPoisson) NewSource(rate float64) (workload.Source, error) {
 	return workload.Poisson{}.NewSource(rate)
 }
 func (wrappedPoisson) String() string { return "wrapped-poisson" }
-
-// TestTrackerModeInvariance pins tracker.go's contract at loop level:
-// the tracker mode changes only the cost of finding the next completion,
-// never the draws — a full run on the production mode (calendar at this
-// size) must be bit-identical to the same run forced onto the tournament
-// tree.
-func TestTrackerModeInvariance(t *testing.T) {
-	p := sqd.Params{N: 600, D: 2, Rho: 0.9}
-	for name, opts := range map[string]Options{
-		"default": {Jobs: 8000, Seed: 13},
-		"jsq":     {Jobs: 8000, Seed: 13, Policy: workload.JSQ{}},
-	} {
-		opts.setDefaults()
-		w, err := resolve(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prod := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
-		if prod.st.trk.cal.keys == nil {
-			t.Fatalf("%s: N=%d did not select the calendar tracker", name, p.N)
-		}
-		prod.run(opts.Jobs)
-		forced := newTypedRunner(p, w, opts.Warmup, newSimStream(opts.BatchSize), opts.Seed)
-		forced.st.trk = &tracker{tour: newTourTracker(p.N), n: p.N}
-		forced.run(opts.Jobs)
-		if a, b := result(prod.st.res), result(forced.st.res); a != b {
-			t.Errorf("%s: tracker mode changed the run:\ncalendar   %+v\ntournament %+v", name, a, b)
-		}
-	}
-}
 
 // TestTypedChunkedRuns: driving a typed runner in many small chunks must
 // be bit-identical to one uninterrupted run — the property the

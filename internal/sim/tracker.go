@@ -3,32 +3,25 @@ package sim
 import "math"
 
 // This file is the completion tracker — the structure the event loop
-// consults on every event for "which server finishes next, and when".
-// Three concrete modes, selected by farm size and service law
-// (BenchmarkTracker; numbers in doc.go "Simulator performance"):
+// consults on every event for "which server finishes next, and when". It
+// is one structure at every farm size: a 4-ary tournament min-tree over
+// fixed-position leaves, internal nodes caching their subtree's (key, id)
+// winner — minindex.Seq's shape, carrying winner ids instead of tie counts
+// (the tracker needs the argmin's identity, not tie uniformity: completion
+// ties have probability zero under continuous service draws, and the
+// first-child rule is deterministic). Keys never move, so an update
+// repairs the fixed leaf→root path whose addresses are pure arithmetic in
+// the leaf index — the loads overlap instead of chaining, and min+argmin
+// is one root read. Its cost does not depend on how far ahead a key lies
+// or on which server is re-keyed, so heavy-tailed laws and churn's re-key
+// of a non-minimum server are ordinary updates.
 //
-//   - linear: a flat id-indexed key array, min by strict scan. Wins only
-//     while all completions fit in a couple of cache lines (N ≤ 8).
-//   - tourTracker: a 4-ary tournament min-tree over fixed-position
-//     leaves, internal nodes caching their subtree's (key, id) winner —
-//     minindex.Seq's shape, carrying winner ids instead of tie counts
-//     (the tracker needs the argmin's identity, not tie uniformity:
-//     completion ties have probability zero under continuous service
-//     draws, and the first-child rule is deterministic). Keys never
-//     move, so an update repairs the fixed leaf→root path whose
-//     addresses are pure arithmetic in the leaf index — the loads
-//     overlap instead of chaining, and min+argmin is one root read.
-//   - calTracker (calendar.go): Brown's calendar queue, exact-min; wins
-//     at large N by exploiting the loop's monotone re-key pattern for
-//     amortized O(1) updates. See its own comment.
-//
-// Shared tricks: keys are the raw IEEE-754 bits of the (nonnegative)
-// completion times, so every comparison is an integer op and the
-// four-way min is computed branch-free with sign-mask selects — on
-// queueing workloads those comparisons are coin flips, and their
-// mispredictions cost as much as an interface dispatch. The root lives at
-// slot 3 so four-node child groups start on 64-byte boundaries: one cache
-// line per level.
+// Keys are the raw IEEE-754 bits of the (nonnegative) completion times,
+// so every comparison is an integer op and the four-way min is computed
+// branch-free with sign-mask selects — on queueing workloads those
+// comparisons are coin flips, and their mispredictions cost as much as an
+// interface dispatch. The root lives at slot 3 so four-node child groups
+// start on 64-byte boundaries: one cache line per level.
 
 // tnode packs a completion time (as raw nonnegative-float bits) with its
 // server id; the pad keeps the stride a power of two so slot addressing
@@ -47,99 +40,13 @@ const infBits = 0x7FF0000000000000 // math.Float64bits(+Inf)
 // line at 16 bytes per node. parent(i) = ((i−4) >> 2) + 3.
 const rootSlot = 3
 
-// linearCutoff is the farm size at or below which the flat scan beats
-// both trees (measured with BenchmarkTracker; see doc.go).
-const linearCutoff = 8
-
-// calCutoff is the farm size from which the calendar queue overtakes the
-// tournament tree on light-tailed completions (measured with
-// BenchmarkTracker and the full-loop BenchmarkSimJobs; see doc.go).
-const calCutoff = 512
-
-// tracker is the production completion tracker, mode-selected by
-// newTrackerFor: a flat scanned array at N ≤ linearCutoff (preserving
-// the old linearTracker's lowest-index tie rule), the tournament tree in
-// the mid range and whenever the service law is heavy-tailed (deep keys
-// defeat the calendar's window sweep), the calendar queue at large N.
-// The mode never changes the simulation's draws — only its cost — so
-// the selection heuristic is free to evolve with the benchmarks.
-type tracker struct {
-	cal   calTracker   // calendar mode when cal.keys != nil
-	tour  *tourTracker // tournament mode when non-nil
-	nodes []tnode      // linear mode otherwise, id-indexed
-	n     int          // real entries
-}
-
-// newTrackerFor picks the tracker mode for a farm of n servers whose
-// completion keys are heavy-tailed or not.
-func newTrackerFor(n int, heavyTail bool) *tracker {
-	trk := &tracker{n: n}
-	switch {
-	case n <= linearCutoff:
-		trk.nodes = make([]tnode, n)
-		for i := range trk.nodes {
-			trk.nodes[i] = tnode{tb: infBits, id: int32(i)}
-		}
-	case heavyTail || n < calCutoff:
-		trk.tour = newTourTracker(n)
-	default:
-		trk.cal.init(n)
-	}
-	return trk
-}
-
-// min returns the earliest completion and its server. With every server
-// idle (all +Inf) the id is −1 (linear, calendar) or an arbitrary idle
-// leaf (tree modes); the event loop never reads the id in that case
-// because the next arrival always precedes +Inf.
-//
-//finitelb:hotpath
-func (k *tracker) min() (float64, int) {
-	if k.tour != nil {
-		return k.tour.min()
-	}
-	if k.nodes == nil {
-		return math.Float64frombits(k.cal.minK), int(k.cal.minI)
-	}
-	best, id := uint64(infBits), -1
-	for i := 0; i < k.n; i++ {
-		if k.nodes[i].tb < best {
-			best, id = k.nodes[i].tb, i
-		}
-	}
-	return math.Float64frombits(best), id
-}
-
-// update sets server id's pending completion time. t must be nonnegative
-// (it is an absolute event time) or +Inf; the bit-pattern key order
-// depends on it.
-//
-//finitelb:hotpath
-func (k *tracker) update(id int, t float64) {
-	if k.tour != nil {
-		k.tour.update(id, t)
-		return
-	}
-	if k.nodes == nil {
-		k.cal.update(id, t)
-		return
-	}
-	k.nodes[id].tb = math.Float64bits(t)
-}
-
-// tourTracker is the 4-ary tournament min-tree (see the file comment). It
-// loses the large-N slot to the calendar queue, whose amortized O(1)
-// needs only the monotone re-key pattern the event loop guarantees, but
-// its cost does not depend on how far ahead a key lies — so heavy-tailed
-// laws, whose deep keys defeat the calendar's window sweep, stay on it at
-// every size.
+// tourTracker is the 4-ary tournament min-tree (see the file comment).
 type tourTracker struct {
 	// nodes: the implicit 4-ary tree — internal winners in
 	// [rootSlot, leafBase), leaves (padded to a power of four with +Inf)
 	// from leafBase, server i's key at leafBase+i.
 	nodes    []tnode
 	leafBase int
-	n        int // real entries
 }
 
 // newTourTracker builds the tournament tree.
@@ -149,7 +56,7 @@ func newTourTracker(n int) *tourTracker {
 		leaves *= 4
 	}
 	internal := (leaves - 1) / 3
-	t := &tourTracker{nodes: make([]tnode, rootSlot+internal+leaves), leafBase: rootSlot + internal, n: n}
+	t := &tourTracker{nodes: make([]tnode, rootSlot+internal+leaves), leafBase: rootSlot + internal}
 	for i := range t.nodes {
 		// Leaf ids are their server index; padding leaves and internal
 		// seeds get ids that are never read (an +Inf winner is never
@@ -178,13 +85,20 @@ func min4(nodes []tnode, c int) tnode {
 	return w
 }
 
+// min returns the earliest completion and its server: one root read. With
+// every server idle (all +Inf) the id is an arbitrary idle leaf; the event
+// loop never reads it in that case because the next arrival always
+// precedes +Inf.
+//
 //finitelb:hotpath
 func (k *tourTracker) min() (float64, int) {
 	return math.Float64frombits(k.nodes[rootSlot].tb), int(k.nodes[rootSlot].id)
 }
 
-// update sets server id's key and repairs the fixed leaf→root path,
-// stopping as soon as an ancestor's (key, id) winner is unchanged.
+// update sets server id's pending completion time and repairs the fixed
+// leaf→root path, stopping as soon as an ancestor's (key, id) winner is
+// unchanged. t must be nonnegative (it is an absolute event time) or +Inf;
+// the bit-pattern key order depends on it.
 //
 //finitelb:hotpath
 func (k *tourTracker) update(id int, t float64) {

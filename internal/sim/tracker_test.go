@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The retired trackers live on here as reference oracles: the shipped
-// tracker must agree with both on every (min, update) sequence.
+// The retired trackers live on here as reference oracles: the tournament
+// tree must agree with both on every (min, update) sequence.
 // refHeapTracker is the pre-overhaul container/heap binary heap verbatim;
 // refLinearTracker is the pre-overhaul scan.
 
@@ -64,32 +64,33 @@ func (l *refLinearTracker) min() (float64, int) {
 	return best, id
 }
 
-// TestTrackerMatchesReferences drives the shipped tracker, the old binary
+// TestTrackerMatchesReferences drives the tournament tree, the old binary
 // heap, and the old linear scan through the same randomized (min, update)
-// sequences — a mix of fresh finite times, re-keys of the current min
-// (the departure pattern), and +Inf idles (the drain pattern) — and
-// requires identical min answers throughout. Times are continuous draws,
-// so ties (where the implementations may legitimately order differently)
-// have probability zero; sizes straddle every structural boundary:
-// singleton, the linearCutoff crossover (8/9 by the new constant, 16/17
-// by the old one), the first multi-level 4-ary trees, and a large farm.
+// sequences — fresh finite times on idle servers (the arrival pattern, and
+// the way a restored server comes back), re-keys of the current min onward
+// or to +Inf (the departure and drain patterns), and +Inf re-keys of a
+// busy server that is *not* the min (the churn pattern: a crash takes a
+// server out mid-service) — and requires identical min answers
+// throughout. Times are continuous draws, so ties (where the
+// implementations may legitimately order differently) have probability
+// zero; sizes cover the singleton, one-level trees full and partly
+// padded (2, 3, 4), the first two-level trees (5, 8, 9) and deeper ones.
 func TestTrackerMatchesReferences(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 9, 16, 17, 64, 1000} {
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 9, 100, 600} {
 		rng := rand.New(rand.NewPCG(uint64(n), 0xabcdef))
-		subject := newTrackerFor(n, false)
-		tour := newTourTracker(n) // exercise tree mode below the cutoff too
+		subject := newTourTracker(n)
 		refH := newRefHeapTracker(n)
 		refL := &refLinearTracker{completion: make([]float64, n)}
 		for i := range refL.completion {
 			refL.completion[i] = math.Inf(1)
 		}
 		clock := 0.0
-		busy := 0
+		busy, crashes := 0, 0
 		for step := 0; step < 20_000; step++ {
 			var id int
 			var tm float64
-			switch {
-			case busy == 0 || (busy < n && rng.Float64() < 0.5):
+			switch u := rng.Float64(); {
+			case busy == 0 || (busy < n && u < 0.45):
 				// "Arrival": give a random idle server a finite completion.
 				id = rng.IntN(n)
 				if !math.IsInf(refL.completion[id], 1) {
@@ -98,6 +99,16 @@ func TestTrackerMatchesReferences(t *testing.T) {
 				clock += rng.Float64()
 				tm = clock + rng.ExpFloat64()
 				busy++
+			case busy > 1 && u > 0.9:
+				// "Crash": idle a busy server other than the current min.
+				_, minID := subject.min()
+				id = rng.IntN(n)
+				if id == minID || math.IsInf(refL.completion[id], 1) {
+					continue
+				}
+				tm = math.Inf(1)
+				busy--
+				crashes++
 			default:
 				// "Departure": re-key the current min — onward or to idle.
 				_, id = subject.min()
@@ -110,25 +121,26 @@ func TestTrackerMatchesReferences(t *testing.T) {
 				}
 			}
 			subject.update(id, tm)
-			tour.update(id, tm)
 			refH.update(id, tm)
 			refL.update(id, tm)
 
 			st, si := subject.min()
-			tt, ti := tour.min()
 			ht, hi := refH.min()
 			lt, li := refL.min()
 			if busy == 0 {
 				// All idle: times agree at +Inf, ids are unspecified.
-				if !math.IsInf(st, 1) || !math.IsInf(ht, 1) || !math.IsInf(lt, 1) || !math.IsInf(tt, 1) {
+				if !math.IsInf(st, 1) || !math.IsInf(ht, 1) || !math.IsInf(lt, 1) {
 					t.Fatalf("N=%d step %d: idle farm with finite min", n, step)
 				}
 				continue
 			}
-			if st != ht || st != lt || st != tt || si != hi || si != li || si != ti {
-				t.Fatalf("N=%d step %d: trackers disagree: subject (%v,%d) tour (%v,%d) heap2 (%v,%d) linear (%v,%d)",
-					n, step, st, si, tt, ti, ht, hi, lt, li)
+			if st != ht || st != lt || si != hi || si != li {
+				t.Fatalf("N=%d step %d: trackers disagree: tree (%v,%d) heap2 (%v,%d) linear (%v,%d)",
+					n, step, st, si, ht, hi, lt, li)
 			}
+		}
+		if n > 1 && crashes == 0 {
+			t.Errorf("N=%d: the non-minimum +Inf re-key was never exercised", n)
 		}
 	}
 }
@@ -137,10 +149,30 @@ func TestTrackerMatchesReferences(t *testing.T) {
 // at stream start: an all-idle farm must report +Inf so the first arrival
 // always wins the time race.
 func TestTrackerAllIdleReportsInf(t *testing.T) {
-	for _, n := range []int{1, linearCutoff, linearCutoff + 1, 100} {
-		tm, _ := newTrackerFor(n, false).min()
+	for _, n := range []int{1, 4, 5, 100} {
+		tm, _ := newTourTracker(n).min()
 		if !math.IsInf(tm, 1) {
 			t.Errorf("N=%d: fresh tracker min = %v, want +Inf", n, tm)
+		}
+	}
+}
+
+// TestTrackerTiesGoToLowestID pins the tie rule — the first child wins at
+// every level, so among equal keys the lowest server id is reported, the
+// linear scan's rule. Continuous service laws never tie; deterministic
+// arrivals with deterministic service do, and the order of simultaneous
+// departures then decides the order sojourns are summed in.
+func TestTrackerTiesGoToLowestID(t *testing.T) {
+	for _, n := range []int{2, 5, 9, 100} {
+		trk := newTourTracker(n)
+		for i := n - 1; i >= 0; i-- {
+			trk.update(i, 7)
+		}
+		for want := 0; want < n; want++ {
+			if tm, id := trk.min(); tm != 7 || id != want {
+				t.Fatalf("N=%d: min = (%v,%d), want (7,%d)", n, tm, id, want)
+			}
+			trk.update(want, math.Inf(1))
 		}
 	}
 }
