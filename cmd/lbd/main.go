@@ -34,11 +34,14 @@
 // (lbd_trace_stage_service_times), and the lbd_trace_jobs_total
 // counters. Tracing off (the default) costs nothing on the dispatch path.
 //
-// When the configured workload is the paper's (SQ(d), exponential
-// service, homogeneous, N ≤ 16), serve mode also solves the QBD model in
-// the background at startup and exposes the analytic bracket for the
-// declared -rho as lbd_delay_predicted_{mean,p99}_{lower,upper} gauges —
-// the model line the measured mean and p99 gauges should land inside.
+// When the configured workload is the paper's (SQ(d) with d ≤ N ≤ 16,
+// exponential service, unit speeds — an explicit all-ones -speeds counts
+// as homogeneous), serve mode also solves the QBD model in the background
+// at startup and exposes the analytic bracket for the declared -rho as
+// lbd_delay_predicted_{mean,p99}_{lower,upper} gauges — the model line the
+// measured mean and p99 gauges should land inside. Both modes find the
+// bracket with finitelb's System.StableBounds: T rises from 3 to the first
+// stable upper bound, within a block budget of 1200 states.
 //
 // The failure domain rides along in either mode. -churn replays a
 // schedule spec (e.g. -churn 'crash@40,restore@80', times in mean
@@ -61,7 +64,7 @@
 //
 // Load-generator mode drives the farm itself — open-loop arrivals from
 // -arrival at utilization -rho — then prints the measured summary and,
-// when the workload is the paper's (Poisson/exponential/SQ(d)), the
+// when the workload is the paper's as above with Poisson arrivals, the
 // analytic QBD delay bracket the measurement should (and does) land in:
 //
 //	lbd -loadgen 20000 -n 10 -d 2 -rho 0.9 -arrival poisson -mean-service 2ms
@@ -239,7 +242,7 @@ func main() {
 		if churn != nil {
 			go replayChurn(farm, churn)
 		}
-		if err := runLoadGen(farm, arr, svc, pol, *n, *d, *rho, *loadgen, *seed, *dispatchers); err != nil {
+		if err := runLoadGen(farm, arr, svc, pol, spd, *n, *rho, *loadgen, *seed, *dispatchers); err != nil {
 			fatal(err)
 		}
 		return
@@ -307,10 +310,15 @@ func startBgLoad(farm *lb.LB, arr workload.Arrival, svc workload.Service, rho fl
 // surface, not something to expose on the farm's public port.
 func servePprof(addr string) {
 	fmt.Printf("lbd: pprof on %s\n", addr)
-	if err := http.ListenAndServe(addr, pprofMux()); err != nil {
+	if err := pprofServer(addr).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "lbd: pprof:", err)
 	}
 }
+
+// pprofServer builds the profiling listener with the public listener's
+// limits, and likewise no write timeout: profile?seconds=N streams for as
+// long as it was asked to. Split out for tests.
+func pprofServer(addr string) *http.Server { return newServer(addr, pprofMux()) }
 
 // pprofMux builds the net/http/pprof handler explicitly (rather than
 // through the package's DefaultServeMux side effects); split out for
@@ -327,7 +335,7 @@ func pprofMux() *http.ServeMux {
 
 // runLoadGen drives the farm and prints the measurement next to the
 // analytic bracket where one exists.
-func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol workload.Policy, n, d int, rho float64, jobs int64, seed uint64, dispatchers int) error {
+func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol workload.Policy, spd []float64, n int, rho float64, jobs int64, seed uint64, dispatchers int) error {
 	fmt.Printf("offering %d jobs: %s arrivals at ρ=%g, %s service, policy %s, %d dispatcher(s)\n",
 		jobs, specName(arr, "poisson"), rho, svc, pol, max(dispatchers, 1))
 	t0 := time.Now()
@@ -351,23 +359,31 @@ func runLoadGen(farm *lb.LB, arr workload.Arrival, svc workload.Service, pol wor
 			tr.Sampled(), tr.Seen(), tr.SampleEvery(), tr.Published(), tr.Dropped(), tr.Aborted())
 	}
 
-	// The paper's bracket applies exactly to Poisson/exponential/SQ(d)
-	// homogeneous farms; print it when that is what just ran.
-	sq, isSQD := pol.(workload.SQD)
-	if isSQD && specName(arr, "poisson") == "poisson" && svc.String() == "exponential" && n <= 16 {
-		sys, err := finitelb.NewSystem(n, sq.D, rho)
-		if err != nil {
-			return nil // e.g. d > n after an explicit -policy sqd:D
-		}
-		b, t, err := walkBounds(sys, maxPredictBlock)
-		if err != nil {
-			fmt.Printf("\n(no QBD bracket at ρ=%g: %v)\n", rho, err)
-			return nil
-		}
-		fmt.Printf("\npaper's QBD bracket for SQ(%d), N=%d, ρ=%g at T=%d: [%.4f, %.4f]; asymptotic %.4f\n",
-			sq.D, n, rho, t, b.Lower.MeanDelay, b.Upper.MeanDelay, sys.AsymptoticDelay())
+	if line := bracketLine(arr, pol, svc, spd, n, rho); line != "" {
+		fmt.Printf("\n%s\n", line)
 	}
 	return nil
+}
+
+// bracketLine is load-generator mode's model line: the paper's bracket
+// when the run was on-model with Poisson arrivals, the reason there is
+// none when the walk fails, and "" for a workload the model does not
+// cover.
+func bracketLine(arr workload.Arrival, pol workload.Policy, svc workload.Service, spd []float64, n int, rho float64) string {
+	d, ok := paperModel(pol, svc, spd, n)
+	if !ok || specName(arr, "poisson") != "poisson" {
+		return ""
+	}
+	sys, err := finitelb.NewSystem(n, d, rho)
+	if err != nil {
+		return "" // e.g. an invalid -rho
+	}
+	b, t, err := sys.StableBounds(maxPredictBlock)
+	if err != nil {
+		return fmt.Sprintf("(no QBD bracket at ρ=%g: %v)", rho, err)
+	}
+	return fmt.Sprintf("paper's QBD bracket for SQ(%d), N=%d, ρ=%g at T=%d: [%.4f, %.4f]; asymptotic %.4f",
+		d, n, rho, t, b.Lower.MeanDelay, b.Upper.MeanDelay, sys.AsymptoticDelay())
 }
 
 func specName(a workload.Arrival, def string) string {

@@ -163,6 +163,25 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
+// TestPprofListenerLimits: the -pprof listener carries the public
+// listener's header, idle and header-size limits, and no write timeout,
+// since profile?seconds=N streams.
+func TestPprofListenerLimits(t *testing.T) {
+	srv := pprofServer(":6060")
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || srv.MaxHeaderBytes != maxHeaderBytes {
+		t.Errorf("pprof listener limits: header %v, idle %v, header bytes %d; want %v, %v, %d",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.MaxHeaderBytes, readHeaderTimeout, idleTimeout, maxHeaderBytes)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("pprof listener has read/write timeouts %v/%v; a streamed profile would be cut", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rec.Code != 200 {
+		t.Errorf("pprof listener does not serve the pprof mux: GET /debug/pprof/ %d", rec.Code)
+	}
+}
+
 // TestListenerLimits drives newServer on a loopback socket with three raw
 // connections: one sends half a request line and then nothing — the
 // server must hang up on it (readHeaderTimeout; before the limits it was

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"finitelb"
 	"finitelb/internal/lb"
 	"finitelb/internal/trace"
 	"finitelb/internal/workload"
@@ -166,38 +164,51 @@ func TestPredictedGaugesOrdered(t *testing.T) {
 	}
 }
 
-// TestWalkBoundsPastUnstableT: at ρ = 0.98 the N = 3 upper-bound chain is
-// unstable through T = 4, so the walk both modes share must keep raising
-// T inside the block budget, and report the instability once the budget
-// runs out.
-func TestWalkBoundsPastUnstableT(t *testing.T) {
-	sys, err := finitelb.NewSystem(3, 2, 0.98)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, T, err := walkBounds(sys, maxPredictBlock)
-	if err != nil || T < 5 || !(b.Lower.MeanDelay <= b.Upper.MeanDelay) {
-		t.Errorf("walk: T=%d bracket [%v, %v] err %v, want a bracket at T ≥ 5", T, b.Lower.MeanDelay, b.Upper.MeanDelay, err)
-	}
-	if _, _, err := walkBounds(sys, 15); !errors.Is(err, finitelb.ErrUnstable) { // C(6,4) = 15: stops after T = 4
-		t.Errorf("walk on a T ≤ 4 budget: %v, want ErrUnstable", err)
-	}
-}
-
 // TestPredictedOffModel: workloads outside the paper's assumptions get no
-// prediction at all.
+// prediction at all, in either mode — serve mode's gauges and
+// load-generator mode's bracket line share one on-model test — while an
+// explicit all-ones -speeds is the homogeneous farm it describes.
 func TestPredictedOffModel(t *testing.T) {
-	if p := newPredicted(workload.JSQ{}, workload.Exponential{}, nil, 4, 0.8); p != nil {
-		t.Error("JSQ got a QBD prediction")
+	speeds := func(spec string, n int) []float64 {
+		spd, err := workload.ParseSpeeds(spec, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spd
 	}
-	if p := newPredicted(workload.SQD{D: 2}, workload.DeterministicService{}, nil, 4, 0.8); p != nil {
-		t.Error("deterministic service got a QBD prediction")
+	sq2 := workload.SQD{D: 2}
+	for _, c := range []struct {
+		name string
+		pol  workload.Policy
+		svc  workload.Service
+		spd  []float64
+		n    int
+		want bool
+	}{
+		{"JSQ", workload.JSQ{}, workload.Exponential{}, nil, 4, false},
+		{"deterministic service", sq2, workload.DeterministicService{}, nil, 4, false},
+		{"heterogeneous farm", sq2, workload.Exponential{}, []float64{1, 2}, 2, false},
+		{"heterogeneous -speeds 1x2,4x2", sq2, workload.Exponential{}, speeds("1x2,4x2", 4), 4, false},
+		{"N=64", sq2, workload.Exponential{}, nil, 64, false},
+		{"d > N", workload.SQD{D: 3}, workload.Exponential{}, nil, 2, false},
+		{"all-ones -speeds 1x4", sq2, workload.Exponential{}, speeds("1x4", 4), 4, true},
+	} {
+		if p := newPredicted(c.pol, c.svc, c.spd, c.n, 0.5); (p != nil) != c.want {
+			t.Errorf("%s: prediction %v, want %v", c.name, p != nil, c.want)
+		}
 	}
-	if p := newPredicted(workload.SQD{D: 2}, workload.Exponential{}, []float64{1, 2}, 2, 0.8); p != nil {
-		t.Error("heterogeneous farm got a QBD prediction")
+
+	// Load-generator mode: the -speeds 1x2,4x2 farm used to print the
+	// homogeneous bracket; it now prints none, and Poisson arrivals are
+	// still required on top of the shared test.
+	if line := bracketLine(nil, sq2, workload.Exponential{}, speeds("1x2,4x2", 4), 4, 0.5); line != "" {
+		t.Errorf("heterogeneous loadgen printed %q", line)
 	}
-	if p := newPredicted(workload.SQD{D: 2}, workload.Exponential{}, nil, 64, 0.8); p != nil {
-		t.Error("N=64 got a QBD prediction")
+	if line := bracketLine(workload.ErlangArrivals{K: 2}, sq2, workload.Exponential{}, nil, 4, 0.5); line != "" {
+		t.Errorf("Erlang-arrival loadgen printed %q", line)
+	}
+	if line := bracketLine(nil, sq2, workload.Exponential{}, speeds("1x4", 4), 4, 0.5); !strings.HasPrefix(line, "paper's QBD bracket for SQ(2), N=4, ρ=0.5 at T=3: [") {
+		t.Errorf("all-ones loadgen printed %q, want the T=3 bracket", line)
 	}
 }
 

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"finitelb"
-	"finitelb/internal/statespace"
 	"finitelb/internal/workload"
 )
 
@@ -49,33 +46,30 @@ const maxPredictBlock = 1200
 // is one the paper's bracket covers, and returns nil otherwise (the
 // gauges are then simply absent from /metrics).
 func newPredicted(pol workload.Policy, svc workload.Service, spd []float64, n int, rho float64) *predicted {
-	sq, isSQD := pol.(workload.SQD)
-	if !isSQD || svc.String() != "exponential" || spd != nil || n > 16 || sq.D > n {
+	d, ok := paperModel(pol, svc, spd, n)
+	if !ok {
 		return nil
 	}
 	p := &predicted{}
-	go p.solve(n, sq.D, rho)
+	go p.solve(n, d, rho)
 	return p
 }
 
-// walkBounds raises T from 3 until the upper-bound chain is stable and
-// returns that bracket with its T. Larger T tightens the bracket and
-// widens the upper bound's stability region, at block size C(N+T−1, T);
-// the walk gives up, with the last instability as the reason, once the
-// block would exceed maxBlock.
-func walkBounds(sys *finitelb.System, maxBlock int) (finitelb.Bounds, int, error) {
-	err := fmt.Errorf("no stable bracket within block budget %d", maxBlock)
-	for t := 3; statespace.Binomial(sys.N()+t-1, t) <= float64(maxBlock); t++ {
-		b, terr := sys.DelayBounds(t)
-		if terr == nil {
-			return b, t, nil
-		}
-		err = terr
-		if !errors.Is(terr, finitelb.ErrUnstable) {
-			break
+// paperModel reports whether a farm is one the paper's bracket covers —
+// SQ(d) with d ≤ N ≤ 16, exponential service and unit speeds (an explicit
+// all-ones -speeds is homogeneous) — and its d. It is the one on-model
+// test of both modes; load-generator mode also requires Poisson arrivals.
+func paperModel(pol workload.Policy, svc workload.Service, spd []float64, n int) (d int, ok bool) {
+	sq, isSQD := pol.(workload.SQD)
+	if !isSQD || svc.String() != "exponential" || n > 16 || sq.D > n {
+		return 0, false
+	}
+	for _, s := range spd {
+		if s != 1 {
+			return 0, false
 		}
 	}
-	return finitelb.Bounds{}, 0, err
+	return sq.D, true
 }
 
 func (p *predicted) solve(n, d int, rho float64) {
@@ -90,7 +84,7 @@ func (p *predicted) solve(n, d int, rho float64) {
 		fail(err)
 		return
 	}
-	b, t, err := walkBounds(sys, maxPredictBlock)
+	b, t, err := sys.StableBounds(maxPredictBlock)
 	if err != nil {
 		fail(err)
 		return

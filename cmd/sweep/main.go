@@ -63,7 +63,7 @@ func main() {
 		if _, err := finitelb.NewSystem(*n, *d, *rho); err != nil {
 			fatalUsage(err)
 		}
-		if err := accuracy(*n, *d, *rho, *tmax); err != nil {
+		if err := accuracy(os.Stdout, *n, *d, *rho, *tmax); err != nil {
 			fatal(err)
 		}
 	case "stability":
@@ -77,7 +77,7 @@ func main() {
 		if _, err := finitelb.NewSystem(*n, *d, *rho); err != nil {
 			fatalUsage(err)
 		}
-		if err := tails(*n, *d, *rho); err != nil {
+		if err := tails(os.Stdout, *n, *d, *rho); err != nil {
 			fatal(err)
 		}
 	case "sim":
@@ -239,16 +239,16 @@ func csvField(s string) string {
 // tails compares the finite-N server-occupancy tail (exact solve) with
 // Mitzenmacher's asymptotic fixed point and with the bound models' tails —
 // the distributional extension of the paper's mean-delay comparison.
-func tails(n, d int, rho float64) error {
+func tails(out io.Writer, n, d int, rho float64) error {
 	sys, err := finitelb.NewSystem(n, d, rho)
 	if err != nil {
 		return err
 	}
-	_, dist, err := sys.ExactDistribution(0)
+	exact, dist, err := sys.ExactDistribution(0)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("P(server holds ≥ k jobs): finite N=%d vs asymptotic, SQ(%d), ρ=%g\n\n", n, d, rho)
+	fmt.Fprintf(out, "P(server holds ≥ k jobs): finite N=%d vs asymptotic, SQ(%d), ρ=%g\n\n", n, d, rho)
 	var rows [][]string
 	for k := 0; k <= 8; k++ {
 		asy := finitelb.AsymptoticQueueTail(d, rho, k)
@@ -263,22 +263,23 @@ func tails(n, d int, rho float64) error {
 			fmt.Sprintf("%+.1f%%", (asy-fin)/math.Max(fin, 1e-300)*100),
 		})
 	}
-	if err := plot.Table(os.Stdout, []string{"k", "finite-N", "asymptotic", "asym error"}, rows); err != nil {
+	if err := plot.Table(out, []string{"k", "finite-N", "asymptotic", "asym error"}, rows); err != nil {
 		return err
 	}
-	fmt.Printf("\nsojourn quantiles (exact): p50=%.3f p95=%.3f p99=%.3f\n",
-		dist.Quantile(0.50), dist.Quantile(0.95), dist.Quantile(0.99))
+	fmt.Fprintf(out, "\nsojourn (exact): mean=%.4f p50=%.3f p95=%.3f p99=%.3f\n",
+		exact.MeanDelay, dist.Quantile(0.50), dist.Quantile(0.95), dist.Quantile(0.99))
 	return nil
 }
 
 // accuracy sweeps T and reports both bounds, their gap, the block size
 // C(N+T−1, T) (the paper's "exponential cost"), and wall time.
-func accuracy(n, d int, rho float64, tmax int) error {
+func accuracy(out io.Writer, n, d int, rho float64, tmax int) error {
 	sys, err := finitelb.NewSystem(n, d, rho)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("upper/lower bound accuracy vs T for SQ(%d), N=%d, ρ=%g\n\n", d, n, rho)
+	fmt.Fprintf(out, "upper/lower bound accuracy vs T for SQ(%d), N=%d, ρ=%g; asymptotic %.4f (Eq. 16, N → ∞)\n\n",
+		d, n, rho, sys.AsymptoticDelay())
 	var rows [][]string
 	for t := 1; t <= tmax; t++ {
 		start := time.Now()
@@ -305,7 +306,7 @@ func accuracy(n, d int, rho float64, tmax int) error {
 		row = append(row, time.Since(start).Round(time.Microsecond).String())
 		rows = append(rows, row)
 	}
-	return plot.Table(os.Stdout,
+	return plot.Table(out,
 		[]string{"T", "block", "lower", "upper", "gap", "time"}, rows)
 }
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -132,5 +133,25 @@ func TestSimSweepBadSpecs(t *testing.T) {
 		if err := simSweep(&buf, cfg); err == nil {
 			t.Errorf("simSweep accepted bad config %+v", cfg)
 		}
+	}
+}
+
+// TestPointQueryLines pins the two point-query lines the accuracy and
+// tails modes carry: the asymptotic delay (Eq. 16) in the accuracy
+// header and the exact mean on the tails quantile line.
+func TestPointQueryLines(t *testing.T) {
+	var buf bytes.Buffer
+	if err := accuracy(&buf, 6, 2, 0.9, 1); err != nil {
+		t.Fatal(err)
+	}
+	if want := "SQ(2), N=6, ρ=0.9; asymptotic 2.6141 (Eq. 16"; !strings.Contains(buf.String(), want) {
+		t.Errorf("accuracy header lacks %q:\n%s", want, buf.String())
+	}
+	buf.Reset()
+	if err := tails(&buf, 3, 2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sojourn (exact): mean=2.5100 p50="; !strings.Contains(buf.String(), want) {
+		t.Errorf("tails quantile line lacks %q:\n%s", want, buf.String())
 	}
 }

@@ -106,9 +106,10 @@
 // (JSQ ≤ SQ(2) ≤ random at equal load; LWL ≤ JSQ under heavy-tailed
 // service, where queue length is a poor proxy for work) and
 // seed-determinism tests. The default configuration pays little for the
-// pluggability: every built-in law and policy resolves to concrete code
-// stenciled into the one event loop (see "Simulator performance"), which
-// is held to the pre-workload bit-identity goldens.
+// pluggability: every built-in law and policy resolves to a concrete
+// sampler or picker that draws from frand and reads the loop's queue
+// mirrors directly, inside the one event loop (see "Simulator
+// performance"), which is held to the pre-workload bit-identity goldens.
 //
 // # From model to machine
 //
@@ -205,20 +206,34 @@
 // The discrete-event simulator is the cost floor under every sweep the
 // analytic side cannot reach, so its event core is engineered and
 // benchmarked like the live dispatch path. There is one event loop
-// (internal/sim/loop.go, runTyped), generics-stenciled per (arrival law,
-// service law) pair so every per-event draw is a direct call into a
-// concrete sampler, with the policy's picker held as an interface — one
-// indirect call per arrival. Three event sources race on model time: the
-// churn schedule (a +Inf sentinel when there is none, so churn-free runs
-// pay one predictable compare per event), the next arrival, and the
-// earliest completion. A user-supplied implementation of a workload
-// interface is one more instantiation of the same loop body behind a
-// small adapter, not a second loop; TestTypedLoopMatchesInterfaceLoop
-// pins the concrete samplers and pickers to the adapter instantiation
-// draw for draw, and the pre-workload and churn goldens pin the loop
-// itself. Draws come from internal/frand, a concrete PCG re-derivation of
+// (internal/sim/loop.go, runTyped), generic over the (arrival law,
+// service law) sampler pair, with the policy's picker held as an
+// interface — one indirect call per arrival. The draws are indirect calls
+// too: Go stencils generics per GC shape, not per type, and objdump of
+// the go1.24.0 build shows arr.next and svc.sample called through the
+// shape's dictionary even in the Poisson × exponential instantiation.
+// Three event sources race on model time: the churn schedule (a +Inf
+// sentinel when there is none, so churn-free runs pay one predictable
+// compare per event), the next arrival, and the earliest completion. A
+// user-supplied implementation of a workload interface is one more
+// instantiation of the same loop body behind a small adapter, not a
+// second loop; TestTypedLoopMatchesInterfaceLoop pins the concrete
+// samplers and pickers to the adapter instantiation draw for draw, and
+// the pre-workload and churn goldens pin the loop itself. Draws come from internal/frand, a concrete PCG re-derivation of
 // math/rand/v2's exact streams (bit-identity pinned in that package), so
 // the loop pays no rand.Source dispatch.
+//
+// The concrete samplers and pickers earn their keep by what sits behind
+// the call — a sampler calls frand directly, and a picker reads the
+// loop's queue mirrors directly — not by devirtualizing it. A trial that
+// deleted them, measured on bench/run.sh with parent and change
+// alternating, lost both ways. Picking through the workload pickers (the
+// interface queue view) took sim_pluggable's ops_per_s from 1.35 M to
+// 0.58 M and its latency_tail_us from 2.66 M to 10.1 M, driven by
+// n1000_jiq's scan through the view, and sim_paper's ops_per_s down
+// 13 %. Drawing through the workload laws left sim_paper flat and cost
+// sim_pluggable 3.9 % ops_per_s and 10 % latency_p50_us, the parent ahead
+// in 6 to 8 of 10 pairs per metric.
 //
 // Until PR 13 the paper's own wiring (Poisson × exponential × SQ(d)) was
 // peeled onto a second, hand-written copy of the loop with the three
@@ -370,8 +385,10 @@
 // The same scrape closes the predicted-vs-measured loop (ROADMAP item
 // 4): when the serve-mode configuration is inside the analytic model's
 // reach (SQ(d), exponential service, homogeneous speeds, N ≤ 16), lbd
-// solves the QBD bracket for its own (N, d, ρ) at startup — walking the
-// threshold T up while the block size stays affordable — and exports
+// solves the QBD bracket for its own (N, d, ρ) at startup —
+// System.StableBounds walks the threshold T up to the first stable upper
+// bound while the block size stays affordable, the one T-walk lbd's two
+// modes and the examples share — and exports
 // lbd_delay_predicted_{mean,p99}_{lower,upper} gauges beside the
 // measured lbd_delay_* series, with lbd_delay_predicted_ready flagging
 // solver completion. The p99 bracket comes from
@@ -441,9 +458,8 @@
 //     grammar — "crash@200,slow@800@s=2@f=3,restore@2000" — parses to
 //     a validated, time-ordered schedule; internal/chaos resolves
 //     unassigned events onto servers with a seeded PCG (never killing
-//     the last live server) and ships storm presets. lbd -churn replays
-//     a schedule in either mode; lbd -chaos exposes POST /debug/chaos
-//     for live injection.
+//     the last live server). lbd -churn replays a schedule in either
+//     mode; lbd -chaos exposes POST /debug/chaos for live injection.
 //   - Timeouts, retries, hedging (internal/lb): redelivered jobs carry
 //     a per-job retry budget with jittered exponential backoff
 //     (RetryBudget, RetryBackoff); Deadline drops jobs whose service

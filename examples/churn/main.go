@@ -43,13 +43,11 @@ func bracket(servers int, load float64) (lo, hi float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for t := 3; t <= 5; t++ {
-		if b, err := sys.DelayBounds(t); err == nil {
-			return b.Lower.MeanDelay, b.Upper.MeanDelay
-		}
+	b, _, err := sys.StableBounds(1200)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatalf("no stable upper bound by T=5 at ρ=%g", load)
-	return 0, 0
+	return b.Lower.MeanDelay, b.Upper.MeanDelay
 }
 
 // simTwin runs the deterministic simulator twin of one phase: the

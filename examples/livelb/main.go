@@ -45,16 +45,9 @@ func main() {
 
 	// Model: the finite-N bracket (walking T up to the first threshold
 	// where the upper-bound model is stable at this load).
-	var bounds finitelb.Bounds
-	boundsT := 0
-	for t := 3; t <= 5; t++ {
-		if b, err := sys.DelayBounds(t); err == nil {
-			bounds, boundsT = b, t
-			break
-		}
-	}
-	if boundsT == 0 {
-		log.Fatalf("no stable upper bound by T=5 at ρ=%g", rho)
+	bounds, boundsT, err := sys.StableBounds(1200)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Simulation: the same system in virtual time.

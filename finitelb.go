@@ -9,6 +9,7 @@ import (
 	"finitelb/internal/qbd"
 	"finitelb/internal/sim"
 	"finitelb/internal/sqd"
+	"finitelb/internal/statespace"
 	"finitelb/internal/workload"
 )
 
@@ -108,6 +109,27 @@ func (s *System) DelayBounds(t int) (Bounds, error) {
 		return Bounds{}, err
 	}
 	return Bounds{Lower: lo, Upper: hi}, nil
+}
+
+// StableBounds raises T from 3 until the upper-bound chain is stable and
+// returns that bracket with its T: Section V's accuracy/complexity
+// trade-off as one procedure. Larger T tightens the bracket and widens
+// the upper bound's stability region, at block size C(N+T−1, T); the walk
+// gives up, with the last instability as the reason, once the block would
+// exceed maxBlock.
+func (s *System) StableBounds(maxBlock int) (Bounds, int, error) {
+	err := fmt.Errorf("no stable bracket within block budget %d", maxBlock)
+	for t := 3; statespace.Binomial(s.p.N+t-1, t) <= float64(maxBlock); t++ {
+		b, terr := s.DelayBounds(t)
+		if terr == nil {
+			return b, t, nil
+		}
+		err = terr
+		if !errors.Is(terr, ErrUnstable) {
+			break
+		}
+	}
+	return Bounds{}, 0, err
 }
 
 func boundResult(sol *qbd.Solution, t int) BoundResult {

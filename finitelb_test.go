@@ -198,6 +198,23 @@ func TestUpperBoundUnstableSurfaces(t *testing.T) {
 	}
 }
 
+// TestStableBoundsPastUnstableT: at ρ = 0.98 the N = 3 upper-bound chain
+// is unstable through T = 4, so the walk must keep raising T inside the
+// block budget, and report the instability once the budget runs out.
+func TestStableBoundsPastUnstableT(t *testing.T) {
+	sys, err := NewSystem(3, 2, 0.98)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, T, err := sys.StableBounds(1200)
+	if err != nil || T < 5 || !(b.Lower.MeanDelay <= b.Upper.MeanDelay) {
+		t.Errorf("walk: T=%d bracket [%v, %v] err %v, want a bracket at T ≥ 5", T, b.Lower.MeanDelay, b.Upper.MeanDelay, err)
+	}
+	if _, _, err := sys.StableBounds(15); !errors.Is(err, ErrUnstable) { // C(6,4) = 15: stops after T = 4
+		t.Errorf("walk on a T ≤ 4 budget: %v, want ErrUnstable", err)
+	}
+}
+
 func TestAsymptoticDelayPackageLevel(t *testing.T) {
 	if got, want := AsymptoticDelay(1, 0.5), 2.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("AsymptoticDelay(1, 0.5) = %v, want %v", got, want)

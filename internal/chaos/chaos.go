@@ -106,75 +106,3 @@ func pickDown(rng *frand.RNG, live *workload.Live) int {
 		}
 	}
 }
-
-// Storm generates a random crash/restore schedule: events alternating
-// failures and recoveries at uniformly-drawn times over [0, horizon),
-// never downing more than maxDown servers at once (clamped to n−1).
-// The schedule is a pure function of (seed, n, events, horizon,
-// maxDown) and always passes Resolve with the same seed. It is the
-// stock generator behind chaos soak tests: one uint64 names an entire
-// failure scenario.
-func Storm(seed uint64, n, events int, horizon float64, maxDown int) *workload.Churn {
-	if n < 2 || events < 1 || !(horizon > 0) {
-		return nil
-	}
-	if maxDown >= n {
-		maxDown = n - 1
-	}
-	if maxDown < 1 {
-		maxDown = 1
-	}
-	rng := frand.New(seed, chaosStream+1)
-	c := &workload.Churn{}
-	downCnt := 0
-	for i := 0; i < events; i++ {
-		t := rng.Float64() * horizon
-		kind := workload.ChurnCrash
-		// Crash while capacity to fail remains; otherwise restore. A fair
-		// coin interleaves the two in the middle of the range.
-		switch {
-		case downCnt == 0:
-			kind = workload.ChurnCrash
-		case downCnt >= maxDown:
-			kind = workload.ChurnRestore
-		case rng.IntN(2) == 0:
-			kind = workload.ChurnRestore
-		}
-		if kind == workload.ChurnCrash {
-			downCnt++
-		} else {
-			downCnt--
-		}
-		c.Events = append(c.Events, workload.ChurnEvent{Kind: kind, T: t, Server: -1})
-	}
-	// Sorting by time can reorder crash/restore pairs; rebalance so a
-	// restore never precedes its crash: walk the sorted order and flip
-	// events that would underflow or overflow the down set.
-	sortByTime(c.Events)
-	downCnt = 0
-	for i := range c.Events {
-		switch {
-		case c.Events[i].Kind == workload.ChurnRestore && downCnt == 0:
-			c.Events[i].Kind = workload.ChurnCrash
-			downCnt++
-		case c.Events[i].Kind == workload.ChurnCrash && downCnt >= maxDown:
-			c.Events[i].Kind = workload.ChurnRestore
-			downCnt--
-		case c.Events[i].Kind == workload.ChurnCrash:
-			downCnt++
-		default:
-			downCnt--
-		}
-	}
-	return c
-}
-
-// sortByTime is an insertion sort (schedules are tiny; avoids pulling
-// package sort into the deterministic set for a dozen elements).
-func sortByTime(evs []workload.ChurnEvent) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].T < evs[j-1].T; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}

@@ -104,36 +104,3 @@ func TestResolveNoChurn(t *testing.T) {
 		t.Errorf("Resolve(empty) = %v, %v", evs, err)
 	}
 }
-
-func TestStorm(t *testing.T) {
-	const seed, n, events, horizon = 11, 6, 20, 1000.0
-	a := Storm(seed, n, events, horizon, 2)
-	b := Storm(seed, n, events, horizon, 2)
-	if a.String() != b.String() {
-		t.Fatalf("same seed, different storms:\n%s\n%s", a, b)
-	}
-	if len(a.Events) != events {
-		t.Fatalf("storm has %d events, want %d", len(a.Events), events)
-	}
-	// A storm must resolve cleanly with its own seed: in particular the
-	// running down-count never exceeds maxDown or goes negative, and
-	// times are sorted within the horizon.
-	r, err := Resolve(a, seed, n)
-	if err != nil {
-		t.Fatalf("storm does not resolve: %v", err)
-	}
-	for i, ev := range r {
-		if ev.T < 0 || ev.T >= horizon {
-			t.Errorf("event %d out of horizon: %v", i, ev)
-		}
-		if i > 0 && ev.T < r[i-1].T {
-			t.Errorf("events unsorted at %d: %v after %v", i, ev, r[i-1])
-		}
-	}
-	if c := Storm(seed+1, n, events, horizon, 2); c.String() == a.String() {
-		t.Error("different seeds generated identical storms")
-	}
-	if Storm(seed, 1, events, horizon, 2) != nil {
-		t.Error("storm over a 1-server farm should be nil")
-	}
-}

@@ -11,7 +11,7 @@ import (
 // ErrRetAnalyzer (errret) is the cmd/-scoped errcheck: a call whose last
 // result is an error, targeting the io/flag/encoding families, used as a
 // bare statement silently swallows the error. The binaries are the
-// repository's user surface — a sqdelay or sweep run whose CSV write
+// repository's user surface — a sweep or figures run whose CSV write
 // failed half-way must exit non-zero, not truncate quietly. Scoped to
 // cmd/ because library packages already return errors upward and the
 // oracle tests would catch a swallowed one.

@@ -54,8 +54,9 @@ func RunCTMC(model sqd.Model, start statespace.State, opts CTMCOptions) CTMCResu
 		dwell := rng.ExpFloat64() / rate
 		if step >= opts.Warmup {
 			totalTime += dwell
-			jobsArea += dwell * float64(state.Total())
-			waitArea += dwell * float64(state.WaitingJobs())
+			// Rounded products: no FMA off amd64.
+			jobsArea += float64(dwell * float64(state.Total()))
+			waitArea += float64(dwell * float64(state.WaitingJobs()))
 		}
 		// Pick the next state proportionally to rate.
 		u := rng.Float64() * rate

@@ -284,8 +284,10 @@ func bindLoop[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 	return func(jobs int64) { runTyped(st, arr, svc, pk, jobs) }
 }
 
-// runTyped is the event loop, stenciled per (arrival, service) sampler
-// pair so every per-event draw is a direct call; the picker is held as an
+// runTyped is the event loop, generic over the (arrival, service) sampler
+// pair. Go stencils it per GC shape, so each per-event draw is an indirect
+// call through the shape's dictionary into a concrete sampler that draws
+// from frand directly (see samplers.go); the picker is held as an
 // interface, one indirect call per arrival. Three event sources race on
 // model time — the churn schedule, the next arrival, the earliest
 // completion — with churn ahead of an arrival ahead of a completion at

@@ -7,15 +7,20 @@ import (
 	"finitelb/internal/workload"
 )
 
-// The typed event loop devirtualizes the per-event draw pair — interarrival
-// and service requirement — by re-deriving, for each built-in workload law,
-// a concrete sampler over the concrete frand generator. Each sampler must
+// The typed event loop takes the per-event draw pair — interarrival and
+// service requirement — off the workload interfaces by re-deriving, for
+// each built-in workload law, a concrete sampler over the concrete frand
+// generator. Each sampler must
 // consume exactly the draws its internal/workload counterpart consumes, in
 // the same order, with the same arithmetic: TestSamplersMatchWorkload pins
 // every law's sequence against the interface implementation, and the loop
-// equivalence tests pin whole runs. The samplers are value structs so the
-// generic loop stencils a dedicated instantiation per (arrival, service)
-// pair, turning every draw into a direct — mostly inlined — call. A
+// equivalence tests pin whole runs. The samplers are value structs, but Go
+// stencils a generic function per GC shape, not per type: samplers of one
+// shape (poissonArr and constArr are one float64, expSvc and detSvc are
+// empty) share an instantiation, and in it every draw is an indirect call
+// through the instantiation's dictionary. What the samplers buy is the
+// body behind that call — straight-line arithmetic on the concrete frand
+// generator, with no rand.Source or workload interface in between. A
 // user-supplied law rides the same loop behind ifaceArr/ifaceSvc, one
 // more instantiation whose draws go through the workload interface.
 

@@ -21,7 +21,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean)) // rounded: no FMA off amd64
 }
 
 // Merge folds another accumulator into w, as if w had also seen every

@@ -100,7 +100,7 @@ const MaxCV2 = 1e6
 // an interarrival is Exp(l1) with probability p, else Exp(l2). The same
 // triple feeds asym.HyperExpBetas for the GI/M/1 oracle.
 func (a HyperExp) Phases(rate float64) (p, l1, l2 float64) {
-	p = (1 + math.Sqrt((a.CV2-1)/(a.CV2+1))) / 2
+	p = float64((1 + math.Sqrt((a.CV2-1)/(a.CV2+1))) / 2) // rounded: no FMA off amd64
 	return p, 2 * p * rate, 2 * (1 - p) * rate
 }
 

@@ -135,7 +135,7 @@ func (p BoundedPareto) Sample(rng *rand.Rand) float64 {
 // sample through byte-for-byte the same arithmetic as Sample; the two
 // share this implementation and cannot drift.
 func (p BoundedPareto) Quantile(u float64) float64 {
-	return p.l / math.Pow(1-u*p.ratioA, 1/p.Alpha)
+	return p.l / math.Pow(1-float64(u*p.ratioA), 1/p.Alpha) // rounded: no FMA off amd64
 }
 
 // Moment2 implements Service.
