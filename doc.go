@@ -92,16 +92,19 @@
 //   - M/G/1 (N=1, d=1, any service law): Pollaczek–Khinchine via the
 //     law's E[S²];
 //   - GI/M/1 (N=1, d=1, any arrival process): 1/(1−σ) with σ from
-//     Theorem 2's embedded σ-equation (internal/asym);
+//     Theorem 2's embedded σ-equation (System.Sigma, for the same
+//     arrival spec);
 //   - round-robin + deterministic arrivals: per-server D/M/1, same σ
 //     machinery;
 //   - random at any N: independent M/M/1 queues;
 //   - single-server speed s: M/M/1 with both rates scaled by s;
 //   - LWL at N=1 (any service law): the same M/G/1, exercising the
-//     work-tracking event loop.
+//     work-tracking event loop;
+//   - SQ(d) under erlang:K or hyperexp arrivals: System.LowerBoundGI for
+//     the same spec lies below the simulated delay (root package tests).
 //
-// The remaining combinations — JIQ, SQ(d) under non-Poisson or
-// heavy-tailed workloads, heterogeneous fleets under any load-aware
+// The remaining combinations — JIQ, SQ(d) under deterministic arrivals
+// or heavy-tailed service, heterogeneous fleets under any load-aware
 // policy — are simulation-only and validated by ordering properties
 // (JSQ ≤ SQ(2) ≤ random at equal load; LWL ≤ JSQ under heavy-tailed
 // service, where queue length is a poor proxy for work) and

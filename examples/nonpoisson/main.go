@@ -3,7 +3,8 @@
 // σ = ρ only in the Poisson case (Theorem 3). Solving it for smoother and
 // burstier arrival processes shows how the geometric tail of the
 // lower-bound model — and hence queueing delay — responds to arrival
-// variability at the same utilization.
+// variability at the same utilization. Every law is a workload spec, the
+// same string SimOptions.Arrival takes.
 package main
 
 import (
@@ -11,34 +12,30 @@ import (
 	"log"
 
 	"finitelb"
+	"finitelb/internal/embedded"
+	"finitelb/internal/workload"
 )
 
 func main() {
 	const rho = 0.85 // per-server utilization, service rate 1
+	specs := []string{"deterministic", "erlang:4", "erlang:2", "poisson", "hyperexp:cv2=2.8"}
 
-	type law struct {
-		name  string
-		scv   string // squared coefficient of variation of interarrivals
-		betas func(int) float64
+	// σ depends on N only through ρ; N=3 also serves the GI table below.
+	sys, err := finitelb.NewSystem(3, 2, rho)
+	if err != nil {
+		log.Fatal(err)
 	}
-	laws := []law{
-		{"deterministic (D)", "0", finitelb.BetasDeterministic(rho, 1)},
-		{"Erlang-4 (E4)", "0.25", finitelb.BetasErlang(4, rho, 1)},
-		{"Erlang-2 (E2)", "0.5", finitelb.BetasErlang(2, rho, 1)},
-		{"Poisson (M)", "1", finitelb.BetasPoisson(rho, 1)},
-		{"hyperexp (H2, bursty)", "≈2.8", finitelb.BetasHyperExp(0.15, rho/3.7, rho*2.1, 1)},
-	}
-
 	fmt.Printf("embedded-chain root σ at utilization ρ = %.2f\n", rho)
-	fmt.Printf("(per-block tail ratio of the lower-bound model is σᴺ; GI/M/1 mean delay is 1/(1−σ))\n\n")
-	fmt.Printf("%-24s %-6s %-10s %-12s %s\n", "interarrival law", "SCV", "σ", "tail σᴺ(N=4)", "GI/M/1 delay")
-	for _, l := range laws {
-		sigma, err := finitelb.SigmaRoot(l.betas)
+	fmt.Printf("(per-block tail ratio of the lower-bound model is σᴺ; GI/M/1 mean delay is 1/(1−σ);\n")
+	fmt.Printf("σ = ρ for Poisson, Theorem 3)\n\n")
+	fmt.Printf("%-18s %-6s %-10s %-12s %s\n", "interarrival law", "SCV", "σ", "tail σᴺ(N=4)", "GI/M/1 delay")
+	for _, spec := range specs {
+		sigma, err := sys.Sigma(spec)
 		if err != nil {
-			log.Fatalf("%s: %v", l.name, err)
+			log.Fatalf("%s: %v", spec, err)
 		}
 		tail := sigma * sigma * sigma * sigma
-		fmt.Printf("%-24s %-6s %-10.6f %-12.6f %.4f\n", l.name, l.scv, sigma, tail, 1/(1-sigma))
+		fmt.Printf("%-18s %-6.3g %-10.6f %-12.6f %.4f\n", spec, scv(spec), sigma, tail, 1/(1-sigma))
 	}
 
 	fmt.Println()
@@ -48,32 +45,29 @@ func main() {
 	fmt.Println("flags MAP/PH extensions as significant future work.")
 
 	// Theorem 2 made computational: the embedded-chain lower bound for an
-	// actual N=3 SQ(2) system under each arrival law, at equal utilization.
-	sys, err := finitelb.NewSystem(3, 2, rho)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// actual N=3 SQ(2) system under each phase-type law (all but the
+	// deterministic one), at equal utilization.
 	fmt.Printf("\nfinite-regime lower bound on mean delay, N=3, SQ(2), ρ=%.2f, T=2:\n", rho)
-	for _, l := range []struct {
-		name  string
-		shape finitelb.ArrivalShape
-	}{
-		{"Erlang-4", finitelb.ErlangArrivals(4)},
-		{"Erlang-2", finitelb.ErlangArrivals(2)},
-		{"Poisson", finitelb.PoissonArrivals()},
-		{"hyperexp (bursty)", finitelb.HyperExpArrivals(0.2, 0.5, 4.0/3.0)},
-	} {
-		r, err := sys.LowerBoundGI(2, l.shape, 0)
+	for _, spec := range specs[1:] {
+		r, err := sys.LowerBoundGI(2, spec, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-20s %.4f\n", l.name, r.MeanDelay)
+		fmt.Printf("  %-18s %.4f\n", spec, r.MeanDelay)
 	}
+}
 
-	// Sanity check the Poisson closed form in public view: σ must equal ρ.
-	sigma, err := finitelb.SigmaRoot(finitelb.BetasPoisson(rho, 1))
+// scv returns the interarrival squared coefficient of variation of a
+// spec, read off its phase-type form; deterministic arrivals, the one law
+// here without such a form, have SCV 0.
+func scv(spec string) float64 {
+	a, err := workload.ParseArrival(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nTheorem 3 check: Poisson σ = %.9f vs ρ = %.2f\n", sigma, rho)
+	law, err := embedded.LawOf(a, 1)
+	if err != nil {
+		return 0
+	}
+	return law.SCV()
 }

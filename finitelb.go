@@ -180,8 +180,9 @@ type SimOptions struct {
 	Replications int
 
 	// Arrival selects the interarrival process by spec string:
-	// "poisson" (default — the only process the analytic bounds cover),
+	// "poisson" (default — the only process the QBD bracket covers),
 	// "deterministic", "erlang:K" (smoother), "hyperexp:CV2" (bursty).
+	// LowerBoundGI and Sigma take the same specs.
 	Arrival string
 	// Service selects the unit-mean service-time law: "exponential"
 	// (default), "deterministic", "erlang:K", "pareto:ALPHA[,h=H]"
@@ -371,35 +372,3 @@ func AsymptoticDelayTail(d int, rho float64, t float64) float64 {
 // AsymptoticDelay is the package-level convenience for Eq. (16) without
 // constructing a System: the formula does not depend on N.
 func AsymptoticDelay(d int, rho float64) float64 { return asym.Delay(d, rho) }
-
-// SigmaRoot solves Theorem 2's embedded-chain equation x = Σ xᵏβ_k for a
-// custom interarrival law given its β_k sequence (the probability of k
-// service completions at a busy server during one interarrival). For
-// Poisson arrivals the root is exactly ρ (Theorem 3). See BetasPoisson,
-// BetasErlang, BetasDeterministic, BetasHyperExp.
-func SigmaRoot(betas func(k int) float64) (float64, error) {
-	return asym.SolveSigma(asym.BetaFunc(betas), 0)
-}
-
-// BetasPoisson returns the β_k sequence for Poisson arrivals (rate lambda)
-// at a rate-mu server.
-func BetasPoisson(lambda, mu float64) func(int) float64 {
-	return asym.PoissonBetas(lambda, mu)
-}
-
-// BetasErlang returns the β_k sequence for Erlang-r interarrivals with
-// mean 1/lambda.
-func BetasErlang(r int, lambda, mu float64) func(int) float64 {
-	return asym.ErlangBetas(r, lambda, mu)
-}
-
-// BetasDeterministic returns the β_k sequence for fixed interarrivals 1/lambda.
-func BetasDeterministic(lambda, mu float64) func(int) float64 {
-	return asym.DeterministicBetas(lambda, mu)
-}
-
-// BetasHyperExp returns the β_k sequence for a two-phase hyperexponential
-// interarrival law: rate l1 with probability w, rate l2 otherwise.
-func BetasHyperExp(w, l1, l2, mu float64) func(int) float64 {
-	return asym.HyperExpBetas(w, l1, l2, mu)
-}

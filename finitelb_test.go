@@ -225,30 +225,47 @@ func TestAsymptoticDelayPackageLevel(t *testing.T) {
 	}
 }
 
-func TestSigmaRootPoissonIsRho(t *testing.T) {
-	sigma, err := SigmaRoot(BetasPoisson(0.8, 1))
+func TestSigmaPoissonIsRho(t *testing.T) {
+	s, err := NewSystem(3, 2, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sigma-0.8) > 1e-9 {
-		t.Errorf("σ = %v, want 0.8", sigma)
+	for _, spec := range []string{"", "poisson"} {
+		sigma, err := s.Sigma(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sigma-0.8) > 1e-9 {
+			t.Errorf("%q: σ = %v, want 0.8", spec, sigma)
+		}
 	}
 }
 
-func TestSigmaRootOtherLaws(t *testing.T) {
-	for name, betas := range map[string]func(int) float64{
-		"erlang":        BetasErlang(3, 0.8, 1),
-		"deterministic": BetasDeterministic(0.8, 1),
-		"hyperexp":      BetasHyperExp(0.4, 0.6, 1.6, 1),
+// TestSigmaOtherLaws pins the deterministic and Erlang roots to the
+// values of their closed-form β sequences at ρ = .8; a bursty law's root
+// lies above ρ.
+func TestSigmaOtherLaws(t *testing.T) {
+	s, err := NewSystem(3, 2, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for spec, want := range map[string]float64{
+		"erlang:3":      0.71093444085526558,
+		"erlang:4":      0.69394472175178401,
+		"deterministic": 0.6286297964969696,
 	} {
-		sigma, err := SigmaRoot(betas)
+		sigma, err := s.Sigma(spec)
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+			t.Errorf("%s: %v", spec, err)
+		} else if math.Abs(sigma-want) > 1e-9 {
+			t.Errorf("%s: σ = %.17g, want %.17g", spec, sigma, want)
 		}
-		if !(0 < sigma && sigma < 1) {
-			t.Errorf("%s: σ = %v outside (0,1)", name, sigma)
-		}
+	}
+	if sigma, err := s.Sigma("hyperexp:cv2=2"); err != nil || !(0.8 < sigma && sigma < 1) {
+		t.Errorf("hyperexp:cv2=2: σ = %v (%v), want inside (ρ, 1)", sigma, err)
+	}
+	if _, err := s.Sigma("bogus"); err == nil {
+		t.Error("bogus spec accepted")
 	}
 }
 

@@ -2,54 +2,12 @@ package finitelb
 
 import (
 	"fmt"
+	"math"
 
 	"finitelb/internal/embedded"
 	"finitelb/internal/sqd"
-	"finitelb/internal/statespace"
+	"finitelb/internal/workload"
 )
-
-// ArrivalShape describes the *shape* of a renewal interarrival law
-// (mixture of Erlang branches); LowerBoundGI rescales it so its mean
-// matches the system's arrival rate ρN. Shapes are built with
-// PoissonArrivals, ErlangArrivals and HyperExpArrivals.
-type ArrivalShape struct {
-	law embedded.Law
-}
-
-// PoissonArrivals is the exponential shape (SCV 1): LowerBoundGI with it
-// reproduces LowerBound exactly.
-func PoissonArrivals() ArrivalShape {
-	return ArrivalShape{law: embedded.Exponential(1)}
-}
-
-// ErlangArrivals is the Erlang-r shape (SCV 1/r): smoother than Poisson.
-func ErlangArrivals(r int) ArrivalShape {
-	if r < 1 {
-		panic(fmt.Sprintf("finitelb: Erlang stages %d", r))
-	}
-	return ArrivalShape{law: embedded.Erlang(r, float64(r))}
-}
-
-// HyperExpArrivals is the two-phase hyperexponential shape: relative rate
-// r1 with probability w, relative rate r2 otherwise (SCV > 1 when the
-// rates differ) — burstier than Poisson.
-func HyperExpArrivals(w, r1, r2 float64) ArrivalShape {
-	if w <= 0 || w >= 1 || r1 <= 0 || r2 <= 0 {
-		panic(fmt.Sprintf("finitelb: invalid hyperexponential shape (%v, %v, %v)", w, r1, r2))
-	}
-	return ArrivalShape{law: embedded.HyperExp(w, r1, r2)}
-}
-
-// scaledTo returns the shape's law rescaled to the given mean.
-func (a ArrivalShape) scaledTo(mean float64) embedded.Law {
-	factor := a.law.Mean() / mean
-	out := embedded.Law{Branches: make([]embedded.Branch, len(a.law.Branches))}
-	for i, b := range a.law.Branches {
-		b.Rate *= factor
-		out.Branches[i] = b
-	}
-	return out
-}
 
 // GIBoundResult extends BoundResult with the embedded-chain diagnostics of
 // the general-arrivals construction.
@@ -61,31 +19,37 @@ type GIBoundResult struct {
 }
 
 // LowerBoundGI computes the finite-regime lower bound for *renewal*
-// (non-Poisson) arrivals with the given interarrival shape, realizing
-// Theorem 2's embedded-chain setting: the jockeying model observed just
-// before arrivals, whose stationary tail decays by σᴺ per block with σ
-// the root of x = Σ xᵏβ_k (use SigmaRoot to obtain σ itself).
+// (non-Poisson) arrivals, realizing Theorem 2's embedded-chain setting:
+// the jockeying model observed just before arrivals, whose stationary
+// tail decays by σᴺ per block with σ the root of x = Σ xᵏβ_k (Sigma
+// returns σ itself). arrival takes the grammar of SimOptions.Arrival —
+// "" or "poisson", "erlang:K", "hyperexp:CV2" — with the parameters the
+// simulator samples; deterministic arrivals have no phase-type form and
+// are an error.
 //
-// maxTotal truncates the state space; pass 0 for an automatic depth. For
-// Poisson shapes this agrees with LowerBound to solver precision.
-func (s *System) LowerBoundGI(t int, shape ArrivalShape, maxTotal int) (GIBoundResult, error) {
-	p := sqd.BoundParams{Params: s.p, T: t}
-	if maxTotal <= 0 {
-		// Depth: boundary + as many repeating blocks as the dense-solver
-		// budget affords (the tail decays by σᴺ per block, so 40 blocks is
-		// ample; fewer only when the per-block state count is large —
-		// FrontierMass reports whether the depth sufficed).
-		blocks := int(3200 / statespace.BinomialInt(s.p.N+t-1, t))
-		if blocks > 40 {
-			blocks = 40
-		}
-		if blocks < 6 {
-			blocks = 6
-		}
-		maxTotal = (s.p.N-1)*t + blocks*s.p.N
+// maxTotal truncates the state space; pass 0 for the depth the law's own
+// σ asks for: the fewest repeating blocks, at least 6, whose tail factor
+// σ^(N·blocks) is ≤ 1e-12. When that depth exceeds the dense solver's
+// state budget the call fails rather than return truncated digits. For
+// Poisson arrivals this agrees with LowerBound to solver precision.
+func (s *System) LowerBoundGI(t int, arrival string, maxTotal int) (GIBoundResult, error) {
+	a, err := workload.ParseArrival(arrival)
+	if err != nil {
+		return GIBoundResult{}, fmt.Errorf("finitelb: GI lower bound: %w", err)
 	}
-	law := shape.scaledTo(1 / s.p.TotalArrivalRate())
-	ch, err := embedded.New(p, law, maxTotal)
+	law, err := embedded.LawOf(a, s.p.TotalArrivalRate())
+	if err != nil {
+		return GIBoundResult{}, fmt.Errorf("finitelb: GI lower bound: %w", err)
+	}
+	if maxTotal <= 0 {
+		sigma, err := embedded.Sigma(a, s.p.Rho)
+		if err != nil {
+			return GIBoundResult{}, fmt.Errorf("finitelb: GI lower bound: %w", err)
+		}
+		blocks := int(math.Ceil(math.Log(1e-12) / (float64(s.p.N) * math.Log(sigma))))
+		maxTotal = (s.p.N-1)*t + max(blocks, 6)*s.p.N
+	}
+	ch, err := embedded.New(sqd.BoundParams{Params: s.p, T: t}, law, maxTotal)
 	if err != nil {
 		return GIBoundResult{}, fmt.Errorf("finitelb: GI lower bound: %w", err)
 	}
@@ -102,4 +66,22 @@ func (s *System) LowerBoundGI(t int, shape ArrivalShape, maxTotal int) (GIBoundR
 		},
 		FrontierMass: ch.FrontierMass(res.Pi),
 	}, nil
+}
+
+// Sigma returns σ, the root of Theorem 2's embedded-chain equation
+// x = Σ xᵏβ_k, for the interarrival law named by arrival (the grammar of
+// SimOptions.Arrival, deterministic included) at this system's
+// utilization: the lower-bound model's per-block tail factor is σᴺ and
+// the GI/M/1 mean delay is 1/(1−σ). For Poisson arrivals σ = ρ
+// (Theorem 3).
+func (s *System) Sigma(arrival string) (float64, error) {
+	a, err := workload.ParseArrival(arrival)
+	if err != nil {
+		return 0, fmt.Errorf("finitelb: sigma: %w", err)
+	}
+	sigma, err := embedded.Sigma(a, s.p.Rho)
+	if err != nil {
+		return 0, fmt.Errorf("finitelb: sigma: %w", err)
+	}
+	return sigma, nil
 }

@@ -1,10 +1,10 @@
 // Package asym implements the asymptotic (N → ∞) delay theory the paper
 // evaluates against — Mitzenmacher's fixed-point formula, Eq. (16) — and
-// the embedded-chain σ-equation of Theorem 2, whose Poisson special case
-// σ = ρ (Theorem 3) underlies the improved lower bound. The σ-equation is
-// also solved numerically for non-Poisson interarrival laws (Erlang,
-// deterministic, hyperexponential), the paper's MAP/PH future-work
-// direction.
+// the solver for Theorem 2's embedded-chain σ-equation x = Σ xᵏβ_k, whose
+// Poisson special case σ = ρ (Theorem 3) underlies the improved lower
+// bound. The β of phase-type arrival laws come from package embedded
+// (Law.Betas), which maps workload arrival specs onto them; only the
+// deterministic law's β, which has no phase-type form, lives here.
 package asym
 
 import (
@@ -56,36 +56,6 @@ var ErrNoRoot = errors.New("asym: σ-equation has no root in (0, 1)")
 // server during one interarrival time drawn from A.
 type BetaFunc func(k int) float64
 
-// PoissonBetas returns the β_k sequence for Poisson arrivals of rate λ and
-// service rate μ: β_k = (λ/μ)·(μ/(λ+μ))^{k+1}, the closed form derived in
-// the proof of Theorem 3.
-func PoissonBetas(lambda, mu float64) BetaFunc {
-	return func(k int) float64 {
-		return lambda / mu * math.Pow(mu/(lambda+mu), float64(k+1))
-	}
-}
-
-// ErlangBetas returns β_k for Erlang-r interarrival times with rate r·λ per
-// stage (mean 1/λ) and service rate μ. The completion count per
-// interarrival is negative-binomial — k service wins interleaved among r
-// stage wins of independent exponential races — giving
-// β_k = C(k+r−1, k)·(rλ/(rλ+μ))ʳ·(μ/(rλ+μ))ᵏ.
-func ErlangBetas(r int, lambda, mu float64) BetaFunc {
-	if r < 1 {
-		panic("asym: Erlang stages must be ≥ 1")
-	}
-	p := float64(r) * lambda / (float64(r)*lambda + mu) // per-race arrival-stage win
-	q := mu / (float64(r)*lambda + mu)                  // per-race service win
-	return func(k int) float64 {
-		// Negative binomial: k service wins before the r-th stage win.
-		c := 1.0
-		for i := 1; i <= k; i++ {
-			c = c * float64(r+i-1) / float64(i)
-		}
-		return c * math.Pow(p, float64(r)) * math.Pow(q, float64(k))
-	}
-}
-
 // DeterministicBetas returns β_k for deterministic interarrival times 1/λ:
 // the completion count is Poisson(μ/λ), so β_k = e^{−μ/λ}(μ/λ)ᵏ/k!.
 func DeterministicBetas(lambda, mu float64) BetaFunc {
@@ -93,16 +63,6 @@ func DeterministicBetas(lambda, mu float64) BetaFunc {
 	return func(k int) float64 {
 		logTerm := -a + float64(k)*math.Log(a) - lgammaInt(k)
 		return math.Exp(logTerm)
-	}
-}
-
-// HyperExpBetas returns β_k for a two-phase hyperexponential interarrival
-// law: with probability w the rate is l1, otherwise l2 (mean w/l1+(1−w)/l2).
-func HyperExpBetas(w, l1, l2, mu float64) BetaFunc {
-	b1 := PoissonBetas(l1, mu)
-	b2 := PoissonBetas(l2, mu)
-	return func(k int) float64 {
-		return w*b1(k) + (1-w)*b2(k)
 	}
 }
 

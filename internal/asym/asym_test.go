@@ -76,110 +76,9 @@ func TestDelayPanics(t *testing.T) {
 	}
 }
 
-func TestPoissonBetasSumToOne(t *testing.T) {
-	b := PoissonBetas(0.7, 1)
-	sum := 0.0
-	for k := 0; k < 2000; k++ {
-		sum += b(k)
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("Σβ_k = %v, want 1", sum)
-	}
-}
-
-func TestPoissonBetasClosedForm(t *testing.T) {
-	// β_0 = λ/(λ+μ), as derived in the Theorem 3 proof.
-	lambda, mu := 0.8, 1.0
-	b := PoissonBetas(lambda, mu)
-	if got, want := b(0), lambda/(lambda+mu); math.Abs(got-want) > 1e-15 {
-		t.Errorf("β_0 = %v, want %v", got, want)
-	}
-	// Recursion β_{k+1} = β_k·μ/(λ+μ), from Eq. (21).
-	for k := 0; k < 10; k++ {
-		if got, want := b(k+1), b(k)*mu/(lambda+mu); math.Abs(got-want) > 1e-15 {
-			t.Errorf("β_%d = %v, want %v", k+1, got, want)
-		}
-	}
-}
-
-// TestSigmaPoissonIsRho is Theorem 3: for Poisson arrivals the root of the
-// σ-equation is exactly the traffic intensity ρ.
-func TestSigmaPoissonIsRho(t *testing.T) {
-	for _, rho := range []float64{0.2, 0.5, 0.75, 0.9, 0.99} {
-		sigma, err := SolveSigma(PoissonBetas(rho, 1), 1e-13)
-		if err != nil {
-			t.Fatalf("ρ=%v: %v", rho, err)
-		}
-		if math.Abs(sigma-rho) > 1e-10 {
-			t.Errorf("σ(ρ=%v) = %v, want ρ", rho, sigma)
-		}
-	}
-}
-
-func TestBetasSumToOneAcrossLaws(t *testing.T) {
-	laws := map[string]BetaFunc{
-		"erlang2":       ErlangBetas(2, 0.7, 1),
-		"erlang5":       ErlangBetas(5, 0.4, 1),
-		"deterministic": DeterministicBetas(0.6, 1),
-		"hyperexp":      HyperExpBetas(0.3, 0.5, 2.0, 1),
-	}
-	for name, b := range laws {
-		sum := 0.0
-		for k := 0; k < 3000; k++ {
-			sum += b(k)
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("%s: Σβ_k = %v, want 1", name, sum)
-		}
-	}
-}
-
-// TestSigmaOrderingByVariability: smoother arrival processes (lower
-// interarrival variability) drain queues better, so σ_deterministic <
-// σ_erlang < σ_poisson at equal utilization — the classic GI/M/1 ordering.
-func TestSigmaOrderingByVariability(t *testing.T) {
-	const rho = 0.8
-	sigP, err := SolveSigma(PoissonBetas(rho, 1), 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigE, err := SolveSigma(ErlangBetas(4, rho, 1), 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigD, err := SolveSigma(DeterministicBetas(rho, 1), 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(sigD < sigE && sigE < sigP) {
-		t.Errorf("σ ordering violated: D=%v, E4=%v, M=%v", sigD, sigE, sigP)
-	}
-	// And a bursty hyperexponential must be worse than Poisson.
-	sigH, err := SolveSigma(HyperExpBetas(0.1, rho/5.5, rho*1.8, 1), 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigH <= sigP {
-		t.Errorf("hyperexponential σ=%v not above Poisson σ=%v", sigH, sigP)
-	}
-}
-
 func TestSigmaUnstableHasNoRoot(t *testing.T) {
 	// ρ ≥ 1: the embedded queue is unstable and the root leaves (0,1).
-	if _, err := SolveSigma(PoissonBetas(1.2, 1), 1e-12); err == nil {
+	if _, err := SolveSigma(DeterministicBetas(1.2, 1), 1e-12); err == nil {
 		t.Error("SolveSigma found a root for an unstable system")
-	}
-}
-
-// TestSigmaGIM1WaitKnownValue: for M/M/1 (Poisson), the GI/M/1 delay
-// formula 1/(μ(1−σ)) must reproduce 1/(1−ρ).
-func TestSigmaGIM1WaitKnownValue(t *testing.T) {
-	const rho = 0.75
-	sigma, err := SolveSigma(PoissonBetas(rho, 1), 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := 1/(1-sigma), 1/(1-rho); math.Abs(got-want) > 1e-8 {
-		t.Errorf("GI/M/1 delay = %v, want %v", got, want)
 	}
 }

@@ -1,14 +1,15 @@
 // Package embedded implements the embedded-chain view of Theorem 2: the
 // lower-bound (jockeying) model observed just before arrival instants, for
 // *renewal* arrival processes with phase-type interarrival laws (mixtures
-// of Erlangs: exponential, Erlang-r, hyperexponential, and combinations).
+// of Erlangs), which LawOf maps workload arrival specs onto; Sigma is the
+// one σ-root for every arrival spec, deterministic included.
 //
 // For Poisson arrivals this reproduces the CTMC lower bound exactly (a
 // tested identity); beyond Poisson it realizes the paper's Theorem 2
 // setting computationally: the embedded stationary distribution exhibits
 // the modified vector-geometric tail π_{q+1} = σᴺ·π_q with σ the root of
-// x = Σ xᵏβ_k — the quantity package asym solves for — which the tests
-// verify block by block.
+// x = Σ xᵏβ_k — solved by package asym on the β of Law.Betas — which the
+// tests verify block by block.
 //
 // Construction: with Q_s the service-only generator of the lower-bound
 // model on a deep truncation of S (departures and jockeying only), one
@@ -22,10 +23,13 @@ package embedded
 
 import (
 	"fmt"
+	"math"
 
+	"finitelb/internal/asym"
 	"finitelb/internal/mat"
 	"finitelb/internal/sqd"
 	"finitelb/internal/statespace"
+	"finitelb/internal/workload"
 )
 
 // Branch is one Erlang branch of an interarrival law: Stages exponential
@@ -38,47 +42,49 @@ type Branch struct {
 
 // Law is a mixture-of-Erlangs interarrival distribution, dense in the
 // space of positive laws and closed under everything this package needs.
+// LawOf builds it from a workload arrival, validated by that arrival's
+// own NewSource.
 type Law struct {
 	Branches []Branch
 }
 
-// Exponential returns the Poisson special case: one stage at rate.
-func Exponential(rate float64) Law {
-	return Law{Branches: []Branch{{Weight: 1, Stages: 1, Rate: rate}}}
+// LawOf returns the phase-type form of arrival process a at the given
+// aggregate rate: Poisson is one stage, erlang:K is K stages at K·rate,
+// and hyperexp is the two branches of workload.HyperExp.Phases. A nil
+// arrival is Poisson, as in the simulator. Deterministic and user-supplied
+// laws have no phase-type form and are an error.
+func LawOf(a workload.Arrival, rate float64) (Law, error) {
+	if a == nil {
+		a = workload.Poisson{}
+	}
+	if _, err := a.NewSource(rate); err != nil {
+		return Law{}, err
+	}
+	switch a := a.(type) {
+	case workload.Poisson:
+		return Law{Branches: []Branch{{Weight: 1, Stages: 1, Rate: rate}}}, nil
+	case workload.ErlangArrivals:
+		return Law{Branches: []Branch{{Weight: 1, Stages: a.K, Rate: float64(a.K) * rate}}}, nil
+	case workload.HyperExp:
+		p, l1, l2 := a.Phases(rate)
+		return Law{Branches: []Branch{{Weight: p, Stages: 1, Rate: l1}, {Weight: 1 - p, Stages: 1, Rate: l2}}}, nil
+	}
+	return Law{}, fmt.Errorf("embedded: %v arrivals are not phase-type", a)
 }
 
-// Erlang returns an Erlang-r law with the given per-stage rate (mean
-// r/rate, squared coefficient of variation 1/r).
-func Erlang(r int, rate float64) Law {
-	return Law{Branches: []Branch{{Weight: 1, Stages: r, Rate: rate}}}
-}
-
-// HyperExp returns the two-phase hyperexponential law: rate1 with
-// probability w, rate2 otherwise (SCV > 1 when the rates differ).
-func HyperExp(w, rate1, rate2 float64) Law {
-	return Law{Branches: []Branch{
-		{Weight: w, Stages: 1, Rate: rate1},
-		{Weight: 1 - w, Stages: 1, Rate: rate2},
-	}}
-}
-
-// Validate reports whether the law is well formed (weights a probability
-// distribution, positive rates and stage counts).
-func (l Law) Validate() error {
-	if len(l.Branches) == 0 {
-		return fmt.Errorf("embedded: empty law")
+// Sigma returns σ, the root of Theorem 2's x = Σ xᵏβ_k, for arrival
+// process a at per-server utilization rho with unit-rate service (σ = ρ
+// for Poisson, Theorem 3). Deterministic arrivals, which have no
+// phase-type form, use their closed-form β.
+func Sigma(a workload.Arrival, rho float64) (float64, error) {
+	if _, fixed := a.(workload.DeterministicArrivals); fixed {
+		return asym.SolveSigma(asym.DeterministicBetas(rho, 1), 0)
 	}
-	total := 0.0
-	for _, b := range l.Branches {
-		if b.Weight < 0 || b.Stages < 1 || b.Rate <= 0 {
-			return fmt.Errorf("embedded: invalid branch %+v", b)
-		}
-		total += b.Weight
+	law, err := LawOf(a, rho)
+	if err != nil {
+		return 0, err
 	}
-	if total < 1-1e-9 || total > 1+1e-9 {
-		return fmt.Errorf("embedded: branch weights sum to %v", total)
-	}
-	return nil
+	return asym.SolveSigma(law.Betas(1), 0)
 }
 
 // Mean returns the law's mean interarrival time.
@@ -88,6 +94,39 @@ func (l Law) Mean() float64 {
 		m += b.Weight * float64(b.Stages) / b.Rate
 	}
 	return m
+}
+
+// Betas returns β_k, the probability that exactly k services complete at
+// a busy rate-mu exponential server during one interarrival. An Erlang-r
+// branch of stage rate ν contributes the negative binomial
+// C(k+r−1, k)·(ν/(ν+μ))ʳ·(μ/(ν+μ))ᵏ — k service wins before the r-th
+// stage win of independent exponential races; for r = 1 this is
+// Theorem 3's closed form (ν/(ν+μ))·(μ/(ν+μ))ᵏ.
+func (l Law) Betas(mu float64) asym.BetaFunc {
+	return func(k int) float64 {
+		beta := 0.0
+		for _, b := range l.Branches {
+			// ln C(k+r−1, k) by log-gamma: O(1) in k, exactly 0 for r = 1.
+			r, kf := float64(b.Stages), float64(k)
+			top, _ := math.Lgamma(kf + r)
+			kfact, _ := math.Lgamma(kf + 1)
+			rfact, _ := math.Lgamma(r)
+			logBeta := top - kfact - rfact + r*math.Log(b.Rate/(b.Rate+mu)) + kf*math.Log(mu/(b.Rate+mu))
+			beta += b.Weight * math.Exp(logBeta)
+		}
+		return beta
+	}
+}
+
+// SCV returns the law's squared coefficient of variation, E[X²]/E[X]² − 1;
+// an Erlang-r branch of stage rate ν has E[X²] = r(r+1)/ν².
+func (l Law) SCV() float64 {
+	m2 := 0.0
+	for _, b := range l.Branches {
+		m2 += b.Weight * float64(b.Stages*(b.Stages+1)) / (b.Rate * b.Rate)
+	}
+	m := l.Mean()
+	return m2/(m*m) - 1
 }
 
 // Chain is the assembled embedded chain of the GI lower-bound model.
@@ -116,9 +155,6 @@ func New(p sqd.BoundParams, law Law, maxTotal int) (*Chain, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := law.Validate(); err != nil {
-		return nil, err
-	}
 	lamN := p.TotalArrivalRate()
 	if m := law.Mean(); m < (1/lamN)*(1-1e-6) || m > (1/lamN)*(1+1e-6) {
 		return nil, fmt.Errorf("embedded: law mean %v does not match 1/(ρN) = %v", m, 1/lamN)
@@ -127,17 +163,20 @@ func New(p sqd.BoundParams, law Law, maxTotal int) (*Chain, error) {
 		return nil, fmt.Errorf("embedded: truncation %d too shallow for N=%d T=%d", maxTotal, p.N, p.T)
 	}
 
+	// Everything downstream is dense (resolvents, kernel): refuse sizes
+	// that would silently eat gigabytes, before enumerating them. The GI
+	// construction targets the paper's small-N regime.
+	const maxStates = 4000
+	var states []statespace.State
+	for total := 0; total <= maxTotal; total++ {
+		states = append(states, statespace.StatesWithTotal(p.N, p.T, total)...)
+		if len(states) > maxStates {
+			return nil, fmt.Errorf("embedded: truncation %d exceeds the dense-solver budget of %d states; lower maxTotal, T or N", maxTotal, maxStates)
+		}
+	}
 	c := &Chain{P: p, Law: law}
-	states := statespace.EnumTruncated(p.N, p.T, maxTotal)
 	c.ix = statespace.NewIndex(states)
 	n := c.ix.Len()
-	// Everything downstream is dense (resolvents, kernel): refuse sizes
-	// that would silently eat gigabytes. The GI construction targets the
-	// paper's small-N regime.
-	const maxStates = 4000
-	if n > maxStates {
-		return nil, fmt.Errorf("embedded: %d states exceeds the dense-solver budget %d; lower maxTotal, T or N", n, maxStates)
-	}
 	lb := &sqd.LowerBound{P: p}
 
 	// Arrival operator: the SQ(d) polling probabilities with the jockey

@@ -4,9 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"finitelb/internal/asym"
 	"finitelb/internal/qbd"
 	"finitelb/internal/sqd"
+	"finitelb/internal/workload"
 )
 
 func bp(n, d int, rho float64, t int) sqd.BoundParams {
@@ -14,34 +14,63 @@ func bp(n, d int, rho float64, t int) sqd.BoundParams {
 }
 
 func TestLawConstructors(t *testing.T) {
-	if m := Exponential(2).Mean(); math.Abs(m-0.5) > 1e-15 {
-		t.Errorf("Exponential mean = %v", m)
-	}
-	if m := Erlang(4, 8).Mean(); math.Abs(m-0.5) > 1e-15 {
-		t.Errorf("Erlang mean = %v", m)
-	}
-	if m := HyperExp(0.5, 1, 2).Mean(); math.Abs(m-0.75) > 1e-15 {
-		t.Errorf("HyperExp mean = %v", m)
-	}
-	for _, bad := range []Law{
-		{},
-		{Branches: []Branch{{Weight: 0.5, Stages: 1, Rate: 1}}},
-		{Branches: []Branch{{Weight: 1, Stages: 0, Rate: 1}}},
-		{Branches: []Branch{{Weight: 1, Stages: 1, Rate: -1}}},
+	for _, c := range []struct {
+		a        workload.Arrival
+		branches int
+		scv      float64
+	}{
+		{nil, 1, 1},
+		{workload.Poisson{}, 1, 1},
+		{workload.ErlangArrivals{K: 4}, 1, 0.25},
+		{workload.HyperExp{CV2: 4}, 2, 4},
 	} {
-		if err := bad.Validate(); err == nil {
-			t.Errorf("law %+v accepted", bad)
+		law, err := LawOf(c.a, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(law.Branches) != c.branches {
+			t.Errorf("%v: %d branches, want %d", c.a, len(law.Branches), c.branches)
+		}
+		if m := law.Mean(); math.Abs(m-0.5) > 1e-15 {
+			t.Errorf("%v: mean = %v, want 0.5", c.a, m)
+		}
+		if v := law.SCV(); math.Abs(v-c.scv) > 1e-12 {
+			t.Errorf("%v: SCV = %v, want %v", c.a, v, c.scv)
 		}
 	}
+	for _, a := range []workload.Arrival{
+		workload.DeterministicArrivals{},
+		workload.ErlangArrivals{K: 0},
+		workload.HyperExp{CV2: 0.5},
+	} {
+		if _, err := LawOf(a, 2); err == nil {
+			t.Errorf("LawOf(%v) accepted", a)
+		}
+	}
+	if _, err := LawOf(workload.Poisson{}, 0); err == nil {
+		t.Error("LawOf accepted rate 0")
+	}
+}
+
+func mustLaw(t *testing.T, a workload.Arrival, rate float64) Law {
+	t.Helper()
+	l, err := LawOf(a, rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func TestNewRejectsMismatchedMean(t *testing.T) {
 	p := bp(3, 2, 0.8, 2)
-	if _, err := New(p, Exponential(1.0), 60); err == nil {
+	if _, err := New(p, mustLaw(t, workload.Poisson{}, 1.0), 60); err == nil {
 		t.Error("law with wrong mean accepted")
 	}
-	if _, err := New(p, Exponential(2.4), 10); err == nil {
+	if _, err := New(p, mustLaw(t, workload.Poisson{}, 2.4), 10); err == nil {
 		t.Error("too-shallow truncation accepted")
+	}
+	if _, err := New(p, mustLaw(t, workload.Poisson{}, 2.4), 5000); err == nil {
+		t.Error("truncation beyond the state budget accepted")
 	}
 }
 
@@ -57,7 +86,7 @@ func TestPoissonMatchesCTMC(t *testing.T) {
 	}{{3, 2, 0.8, 2, 120}, {3, 3, 0.6, 2, 90}, {2, 2, 0.9, 3, 180}} {
 		p := bp(cfg.n, cfg.d, cfg.rho, cfg.tt)
 		lamN := p.TotalArrivalRate()
-		ch, err := New(p, Exponential(lamN), cfg.max)
+		ch, err := New(p, mustLaw(t, workload.Poisson{}, lamN), cfg.max)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,37 +109,20 @@ func TestPoissonMatchesCTMC(t *testing.T) {
 
 // TestTheorem2SigmaTail: the embedded stationary distribution's block tail
 // ratio must equal σᴺ with σ the root of x = Σ xᵏβ_k — Theorem 2, for
-// non-Poisson renewal arrivals. The β_k here use the aggregate service
-// rate N (all servers busy beyond the boundary).
+// non-Poisson renewal arrivals. The chain's β_k use the aggregate service
+// rate N (all servers busy beyond the boundary) against arrivals at ρN,
+// which is Sigma's per-server root at ρ.
 func TestTheorem2SigmaTail(t *testing.T) {
 	const n, d, rho, tt = 3, 2, 0.8, 2
 	p := bp(n, d, rho, tt)
 	lamN := p.TotalArrivalRate()
-
-	// Hyperexponential with mean 1/λN: 0.2/(0.5λN) + 0.8/((4/3)λN) = 1/λN.
-	h1, h2 := lamN*0.5, lamN*4.0/3.0
-	cases := []struct {
-		name  string
-		law   Law
-		betas asym.BetaFunc
-	}{
-		{"erlang2", Erlang(2, 2*lamN), asym.ErlangBetas(2, lamN, float64(n))},
-		{"hyperexp", HyperExp(0.2, h1, h2), func(k int) float64 {
-			return 0.2*asym.PoissonBetas(h1, float64(n))(k) +
-				0.8*asym.PoissonBetas(h2, float64(n))(k)
-		}},
-		{"poisson", Exponential(lamN), asym.PoissonBetas(lamN, float64(n))},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.law.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if m := tc.law.Mean(); math.Abs(m-1/lamN) > 1e-9 {
-				t.Fatalf("test setup: law mean %v ≠ %v", m, 1/lamN)
-			}
-			ch, err := New(p, tc.law, 120)
+	for name, a := range map[string]workload.Arrival{
+		"erlang2":  workload.ErlangArrivals{K: 2},
+		"hyperexp": workload.HyperExp{CV2: 2},
+		"poisson":  workload.Poisson{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ch, err := New(p, mustLaw(t, a, lamN), 120)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +130,7 @@ func TestTheorem2SigmaTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sigma, err := asym.SolveSigma(tc.betas, 1e-13)
+			sigma, err := Sigma(a, rho)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,8 +152,8 @@ func TestTheorem2SigmaTail(t *testing.T) {
 func TestVariabilityOrdering(t *testing.T) {
 	p := bp(3, 2, 0.8, 2)
 	lamN := p.TotalArrivalRate()
-	delay := func(law Law) float64 {
-		ch, err := New(p, law, 100)
+	delay := func(a workload.Arrival) float64 {
+		ch, err := New(p, mustLaw(t, a, lamN), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +163,9 @@ func TestVariabilityOrdering(t *testing.T) {
 		}
 		return res.MeanDelay
 	}
-	erl := delay(Erlang(4, 4*lamN))
-	poi := delay(Exponential(lamN))
-	hyp := delay(HyperExp(0.2, lamN*0.5, lamN*4.0/3.0))
+	erl := delay(workload.ErlangArrivals{K: 4})
+	poi := delay(workload.Poisson{})
+	hyp := delay(workload.HyperExp{CV2: 2})
 	if !(erl < poi && poi < hyp) {
 		t.Errorf("ordering violated: Erlang4 %v, Poisson %v, HyperExp %v", erl, poi, hyp)
 	}

@@ -193,6 +193,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		{"upper N=3 T=2", ubModel(3, 2, 0.6, 2)},
 		{"lower JSQ N=3", lbModel(3, 3, 0.75, 2)},
 		{"upper N=4 T=2", ubModel(4, 2, 0.5, 2)},
+		{"lower JSQ N=4", lbModel(4, 4, 0.75, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sol, err := Solve(tc.model, Options{})
@@ -207,6 +208,9 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 			if math.Abs(sol.MeanDelay-brute.MeanDelay) > 1e-6*brute.MeanDelay {
 				t.Errorf("matrix-geometric delay %v vs brute force %v", sol.MeanDelay, brute.MeanDelay)
+			}
+			if math.Abs(sol.MeanJobs-brute.MeanJobs) > 1e-6*brute.MeanJobs {
+				t.Errorf("matrix-geometric jobs %v vs brute force %v", sol.MeanJobs, brute.MeanJobs)
 			}
 		})
 	}

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"finitelb/internal/qbd"
 	"finitelb/internal/sqd"
-	"finitelb/internal/statespace"
 )
 
 // TestSimWithinQBDBounds cross-validates the discrete-event simulator with
@@ -50,43 +48,5 @@ func TestSimWithinQBDBounds(t *testing.T) {
 			t.Errorf("N=%d d=%d ρ=%g T=%d: simulated delay %v outside QBD bounds [%v, %v] (CI ±%v)",
 				c.n, c.d, c.rho, c.tt, res.MeanDelay, lo.MeanDelay, hi.MeanDelay, res.HalfWidth)
 		}
-	}
-}
-
-// TestCTMCTrajectoryMatchesQBD checks the pipeline end to end: running
-// the *bound models themselves* as jump chains must reproduce the
-// matrix-geometric stationary delays — an end-to-end check that the QBD
-// assembly, the logarithmic reduction, and the boundary solve describe the
-// same processes the transition functions define.
-func TestCTMCTrajectoryMatchesQBD(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trajectory cross-validation needs long runs")
-	}
-	for _, tc := range []struct {
-		name  string
-		model interface {
-			sqd.Model
-			Bound() sqd.BoundParams
-		}
-	}{
-		{"lower N=3 T=2", &sqd.LowerBound{P: sqd.BoundParams{Params: sqd.Params{N: 3, D: 2, Rho: 0.8}, T: 2}}},
-		{"upper N=3 T=2", &sqd.UpperBound{P: sqd.BoundParams{Params: sqd.Params{N: 3, D: 2, Rho: 0.6}, T: 2}}},
-		{"lower N=4 JSQ", &sqd.LowerBound{P: sqd.BoundParams{Params: sqd.Params{N: 4, D: 4, Rho: 0.75}, T: 2}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sol, err := qbd.Solve(tc.model, qbd.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := make(statespace.State, tc.model.Params().N)
-			traj := RunCTMC(tc.model, start, CTMCOptions{Events: 4_000_000, Seed: 17})
-			if rel := math.Abs(traj.MeanDelay-sol.MeanDelay) / sol.MeanDelay; rel > 0.03 {
-				t.Errorf("trajectory delay %v vs matrix-geometric %v (%.1f%% off)",
-					traj.MeanDelay, sol.MeanDelay, rel*100)
-			}
-			if rel := math.Abs(traj.MeanJobs-sol.MeanJobs) / sol.MeanJobs; rel > 0.03 {
-				t.Errorf("trajectory jobs %v vs matrix-geometric %v", traj.MeanJobs, sol.MeanJobs)
-			}
-		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package sim provides the simulation side of the paper's evaluation: a
 // discrete-event simulator of a dispatched server farm measuring per-job
-// sojourn times (the baseline of Figures 9 and 10), and a CTMC trajectory
-// simulator for arbitrary sqd models used to cross-validate the
-// matrix-geometric solutions of the bound models.
+// sojourn times (the baseline of Figures 9 and 10). The bound models
+// themselves are solved by internal/qbd and cross-checked there against
+// a truncated stationary solve (markov.SolveTruncated).
 //
 // The event loop is workload-agnostic: arrival processes, service-time
 // laws, per-server speeds, and dispatch policies plug in through the

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"finitelb/internal/sqd"
-	"finitelb/internal/statespace"
 )
 
 func TestRunMM1(t *testing.T) {
@@ -82,39 +81,6 @@ func TestRunMatchesExactSolve(t *testing.T) {
 	const want = 2.139
 	if math.Abs(simRes.MeanDelay-want) > 5*simRes.HalfWidth+0.03*want {
 		t.Errorf("sim delay %v, want ≈ %v (CI ±%v)", simRes.MeanDelay, want, simRes.HalfWidth)
-	}
-}
-
-func TestRunCTMCExactModel(t *testing.T) {
-	// Trajectory average of the exact model must match the M/M/1 value for
-	// d=1, N=1.
-	p := sqd.Params{N: 1, D: 1, Rho: 0.7}
-	res := RunCTMC(&sqd.Exact{P: p}, statespace.MustState(0), CTMCOptions{Events: 2_000_000, Seed: 11})
-	want := 1 / (1 - 0.7)
-	if math.Abs(res.MeanDelay-want) > 0.05*want {
-		t.Errorf("CTMC delay %v, want %v", res.MeanDelay, want)
-	}
-}
-
-// TestRunCTMCBoundModelsBracket: simulating the bound models' trajectories
-// brackets the exact simulation — the redirects act in the intended
-// directions dynamically, not just in expectation.
-func TestRunCTMCBoundModelsBracket(t *testing.T) {
-	bp := sqd.BoundParams{Params: sqd.Params{N: 3, D: 2, Rho: 0.8}, T: 2}
-	start := statespace.MustState(0, 0, 0)
-	opts := CTMCOptions{Events: 2_000_000, Seed: 13}
-	if testing.Short() {
-		opts.Events = 500_000 // the 3% slack absorbs the extra noise at N=3
-	}
-	lb := RunCTMC(&sqd.LowerBound{P: bp}, start, opts)
-	ex := RunCTMC(&sqd.Exact{P: bp.Params}, start, opts)
-	ub := RunCTMC(&sqd.UpperBound{P: bp}, start, opts)
-	slack := 0.03 * ex.MeanDelay
-	if !(lb.MeanDelay <= ex.MeanDelay+slack) {
-		t.Errorf("simulated LB %v above exact %v", lb.MeanDelay, ex.MeanDelay)
-	}
-	if !(ub.MeanDelay >= ex.MeanDelay-slack) {
-		t.Errorf("simulated UB %v below exact %v", ub.MeanDelay, ex.MeanDelay)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"finitelb/internal/asym"
+	"finitelb/internal/embedded"
 	"finitelb/internal/sqd"
 	"finitelb/internal/workload"
 )
@@ -97,34 +97,29 @@ func TestMG1PollaczekKhinchine(t *testing.T) {
 
 // TestGIM1SigmaOracle checks every arrival process against the GI/M/1
 // oracle at N = 1, d = 1: mean sojourn = 1/(1−σ) with σ the root of
-// Theorem 2's embedded-chain equation — the same machinery the paper's
-// improved lower bound rests on (internal/asym).
+// Theorem 2's embedded-chain equation for the same arrival value — the
+// machinery the paper's improved lower bound rests on (embedded.Sigma).
 func TestGIM1SigmaOracle(t *testing.T) {
 	const rho = 0.75
-	he := workload.HyperExp{CV2: 4}
-	w, l1, l2 := he.Phases(rho)
-	for _, tc := range []struct {
-		arrival workload.Arrival
-		betas   asym.BetaFunc
-	}{
-		{workload.DeterministicArrivals{}, asym.DeterministicBetas(rho, 1)},
-		{workload.ErlangArrivals{K: 3}, asym.ErlangBetas(3, rho, 1)},
-		{workload.Poisson{}, asym.PoissonBetas(rho, 1)},
-		{he, asym.HyperExpBetas(w, l1, l2, 1)},
+	for _, arrival := range []workload.Arrival{
+		workload.DeterministicArrivals{},
+		workload.ErlangArrivals{K: 3},
+		workload.Poisson{},
+		workload.HyperExp{CV2: 4},
 	} {
-		sigma, err := asym.SolveSigma(tc.betas, 0)
+		sigma, err := embedded.Sigma(arrival, rho)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := Run(sqd.Params{N: 1, D: 1, Rho: rho},
-			Options{Jobs: 400_000, Seed: 19, Arrival: tc.arrival})
+			Options{Jobs: 400_000, Seed: 19, Arrival: arrival})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := 1 / (1 - sigma)
 		if math.Abs(res.MeanDelay-want) > 5*res.HalfWidth+0.03*want {
 			t.Errorf("GI/M/1 %s: delay %v, want %v (σ=%v, CI ±%v)",
-				tc.arrival, res.MeanDelay, want, sigma, res.HalfWidth)
+				arrival, res.MeanDelay, want, sigma, res.HalfWidth)
 		}
 	}
 }
@@ -292,7 +287,7 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 // interarrival N/λ_total — i.e. per-server rate ρ.
 func TestRoundRobinDeterministicArrivals(t *testing.T) {
 	const rho = 0.8
-	sigma, err := asym.SolveSigma(asym.DeterministicBetas(rho, 1), 0)
+	sigma, err := embedded.Sigma(workload.DeterministicArrivals{}, rho)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,7 @@ func (s poissonSource) Next(rng *rand.Rand) float64 { return rng.ExpFloat64() / 
 // DeterministicArrivals is the smoothest renewal process: fixed
 // interarrivals 1/rate (SCV 0). With exponential service at a single
 // server this is D/M/1, whose mean sojourn 1/(μ(1−σ)) follows from the
-// σ-root of Theorem 2 (asym.DeterministicBetas) and anchors the oracle
-// tests.
+// σ-root of Theorem 2 (embedded.Sigma) and anchors the oracle tests.
 type DeterministicArrivals struct{}
 
 // NewSource implements Arrival.
@@ -86,8 +85,8 @@ func (s erlangSource) Next(rng *rand.Rand) float64 {
 // interarrivals with balanced means and squared coefficient of variation
 // CV2 ≥ 1 (CV2 = 1 degenerates to Poisson). It stands in for the
 // MAP/phase-type traffic the paper names as future work; its GI/M/1 mean
-// sojourn is exactly solvable via asym.HyperExpBetas, which the oracle
-// tests exploit.
+// sojourn is exactly solvable via embedded.Sigma, which the oracle tests
+// exploit.
 type HyperExp struct {
 	CV2 float64 // squared coefficient of variation of interarrivals, ≥ 1
 }
@@ -98,7 +97,8 @@ const MaxCV2 = 1e6
 
 // Phases returns the balanced-means parametrisation at aggregate rate:
 // an interarrival is Exp(l1) with probability p, else Exp(l2). The same
-// triple feeds asym.HyperExpBetas for the GI/M/1 oracle.
+// triple is the two branches of embedded.LawOf, behind the GI lower bound
+// and the GI/M/1 oracle.
 func (a HyperExp) Phases(rate float64) (p, l1, l2 float64) {
 	p = float64((1 + math.Sqrt((a.CV2-1)/(a.CV2+1))) / 2) // rounded: no FMA off amd64
 	return p, 2 * p * rate, 2 * (1 - p) * rate
