@@ -31,22 +31,30 @@ func sigma(t *testing.T, a workload.Arrival, rho float64) float64 {
 	return s
 }
 
-// TestBetasOneStageClosedForm: a one-stage law's β is the closed form of
-// the Theorem 3 proof, β_k = λ/(λ+μ)·(μ/(λ+μ))ᵏ — β_0 = λ/(λ+μ) and the
-// recursion β_{k+1} = β_k·μ/(λ+μ) of Eq. (21) — and sums to one.
-func TestBetasOneStageClosedForm(t *testing.T) {
+// TestPoissonBetasSumToOne: the one-stage (Poisson) law's β is a
+// probability distribution over the arrivals seen per service.
+func TestPoissonBetasSumToOne(t *testing.T) {
+	b := betas(t, workload.Poisson{}, 0.7)
+	sum := 0.0
+	for k := 0; k < 2000; k++ {
+		sum += b(k)
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Errorf("Σβ_k = %v, want 1", sum)
+	}
+}
+
+// TestPoissonBetasClosedForm: the one-stage (Poisson) law's β is the
+// closed form of the Theorem 3 proof, β_k = λ/(λ+μ)·(μ/(λ+μ))ᵏ — β_0 =
+// λ/(λ+μ) and the recursion β_{k+1} = β_k·μ/(λ+μ) of Eq. (21).
+func TestPoissonBetasClosedForm(t *testing.T) {
 	const lambda, mu = 0.8, 1.0
 	b := betas(t, workload.Poisson{}, lambda)
-	sum := 0.0
 	for k := 0; k < 2000; k++ {
 		want := lambda / (lambda + mu) * math.Pow(mu/(lambda+mu), float64(k))
 		if got := b(k); math.Abs(got-want) > 1e-15 {
 			t.Errorf("β_%d = %v, want %v", k, got, want)
 		}
-		sum += b(k)
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("Σβ_k = %v, want 1", sum)
 	}
 }
 

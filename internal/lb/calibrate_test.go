@@ -112,21 +112,26 @@ func qbdP99Bracket(t *testing.T, n int, rho float64) (lo, hi float64, ok bool) {
 // beat two-sample SQ(2), which beats blind random. Under exponential
 // service LWL and JSQ are near-equivalent (queue length is a good work
 // proxy there), so LWL is asserted against SQ(2), not JSQ.
+//
+// The policies are measured side by side, not one after another: each
+// keeps its own farm, and the jobs are offered in rounds that visit the
+// farms in rotating order (see runLiveRounds). A change in host load
+// over the run — a CPU-bound neighbour starting or finishing — then
+// lands on every policy alike instead of on whichever ran first.
 func TestLivePolicyOrderingHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live ordering needs wall-clock traffic")
 	}
 	const (
-		n    = 8
-		rho  = 0.85
-		jobs = 8000
+		n      = 8
+		rho    = 0.85
+		jobs   = 8000
+		rounds = 10 // a multiple of the five policies: see runLiveRounds
 	)
-	run := func(p workload.Policy) Summary { return runLive(t, n, p, rho, jobs) }
-	jsq := run(workload.JSQ{})
-	lwl := run(workload.LWL{})
-	jiq := run(workload.JIQ{})
-	sq2 := run(workload.SQD{D: 2})
-	rnd := run(workload.Random{})
+	s := runLiveRounds(t, n, []workload.Policy{
+		workload.JSQ{}, workload.LWL{}, workload.JIQ{}, workload.SQD{D: 2}, workload.Random{},
+	}, rho, jobs, rounds)
+	jsq, lwl, jiq, sq2, rnd := s[0], s[1], s[2], s[3], s[4]
 	t.Logf("live N=%d ρ=%g: jsq %.3f lwl %.3f jiq %.3f sq2 %.3f random %.3f",
 		n, rho, jsq.MeanDelay, lwl.MeanDelay, jiq.MeanDelay, sq2.MeanDelay, rnd.MeanDelay)
 
@@ -143,9 +148,10 @@ func TestLivePolicyOrderingHolds(t *testing.T) {
 	expectBelow("SQ(2) < random", sq2, rnd)
 }
 
-// runLive builds a farm and pushes one open-loop Poisson/exponential run
-// through it.
-func runLive(t *testing.T, n int, policy workload.Policy, rho float64, jobs int64) Summary {
+// newLiveFarm builds the farm the live oracles measure: exponential
+// service with a 2ms mean, a warmup of a tenth of the jobs, and a queue
+// cap no run reaches.
+func newLiveFarm(t *testing.T, n int, policy workload.Policy, jobs int64) *LB {
 	t.Helper()
 	lb, err := New(Config{
 		N:           n,
@@ -158,12 +164,55 @@ func runLive(t *testing.T, n int, policy workload.Policy, rho float64, jobs int6
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lb
+}
+
+// runLive builds a farm and pushes one open-loop Poisson/exponential run
+// through it.
+func runLive(t *testing.T, n int, policy workload.Policy, rho float64, jobs int64) Summary {
+	t.Helper()
+	lb := newLiveFarm(t, n, policy, jobs)
 	s, err := lb.RunLoadGen(context.Background(), GenConfig{Rho: rho, Jobs: jobs, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustShutdown(t, lb)
 	return s
+}
+
+// runLiveRounds gives each policy its own farm and offers the jobs to
+// them in rounds of jobs/rounds, visiting the farms in an order that
+// rotates by one each round, with one seed per round shared by every
+// farm. When rounds is a multiple of len(policies) each farm is visited
+// first, second, … equally often, so a step in host load biases no
+// policy by more than one round's share. Each round starts on a drained
+// farm, which lowers the means of the slowly mixing policies (random
+// most: ≈5 mean service times in the ordering test against ≈7 from one
+// long run), but every policy is measured from the same starts. A
+// farm's Summary accumulates over its rounds, so each returned Summary
+// covers all its jobs, in the order of policies.
+func runLiveRounds(t *testing.T, n int, policies []workload.Policy, rho float64, jobs int64, rounds int) []Summary {
+	t.Helper()
+	farms := make([]*LB, len(policies))
+	for i, p := range policies {
+		farms[i] = newLiveFarm(t, n, p, jobs)
+	}
+	out := make([]Summary, len(policies))
+	for r := 0; r < rounds; r++ {
+		for k := range farms {
+			i := (r + k) % len(farms)
+			s, err := farms[i].RunLoadGen(context.Background(),
+				GenConfig{Rho: rho, Jobs: jobs / int64(rounds), Seed: 23 + uint64(r)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = s
+		}
+	}
+	for _, lb := range farms {
+		mustShutdown(t, lb)
+	}
+	return out
 }
 
 // Pinned QBD bounds for N=10, d=2, ρ=0.9 at T=5 (block size 2002): the
