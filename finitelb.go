@@ -3,6 +3,7 @@ package finitelb
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"finitelb/internal/asym"
 	"finitelb/internal/markov"
@@ -23,8 +24,63 @@ var ErrUnstable = qbd.ErrUnstable
 // System describes an SQ(d) load-balancing system: N parallel unit-rate
 // FIFO servers fed by a Poisson stream of rate ρ·N through a dispatcher
 // that samples d distinct servers per job and picks the least loaded.
+//
+// A System keeps every bound chain it has solved, so each chain is solved
+// once however many of LowerBound, UpperBound, DelayBounds, StableBounds
+// and DelayDistributionBracket ask for it. It is safe for concurrent use.
 type System struct {
 	p sqd.Params
+
+	mu     sync.Mutex
+	chains map[chainKey]*chain
+}
+
+// chainKey names one bound chain of a System: which bound, its threshold
+// T, and whether it is solved by Theorem 3's scalar path.
+type chainKey struct {
+	upper    bool
+	t        int
+	improved bool
+}
+
+// chain is one memoized solve; once makes concurrent first callers wait
+// for a single solve.
+type chain struct {
+	once sync.Once
+	sol  *qbd.Solution
+	err  error
+}
+
+// solve returns the solution of the chain k, solving it on first use. A
+// failed solve (an unstable chain, say: the drift check that refuses it is
+// cheap) is not kept, so a later call tries again.
+func (s *System) solve(k chainKey) (*qbd.Solution, error) {
+	s.mu.Lock()
+	c, ok := s.chains[k]
+	if !ok {
+		if s.chains == nil {
+			s.chains = make(map[chainKey]*chain)
+		}
+		c = &chain{}
+		s.chains[k] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() {
+		bp := sqd.BoundParams{Params: s.p, T: k.t}
+		var model qbd.BoundModel = &sqd.LowerBound{P: bp}
+		if k.upper {
+			model = &sqd.UpperBound{P: bp}
+		}
+		c.sol, c.err = qbd.Solve(model, qbd.Options{ImprovedLB: k.improved})
+	})
+	if c.err != nil {
+		s.mu.Lock()
+		if s.chains[k] == c {
+			delete(s.chains, k)
+		}
+		s.mu.Unlock()
+	}
+	return c.sol, c.err
 }
 
 // NewSystem validates and builds a system description.
@@ -74,8 +130,7 @@ type Bounds struct {
 // threshold T via Theorem 3's improved method (scalar rate ρᴺ): the larger
 // T, the tighter (and costlier) the bound.
 func (s *System) LowerBound(t int) (BoundResult, error) {
-	model := &sqd.LowerBound{P: sqd.BoundParams{Params: s.p, T: t}}
-	sol, err := qbd.Solve(model, qbd.Options{ImprovedLB: true})
+	sol, err := s.solve(chainKey{t: t, improved: true})
 	if err != nil {
 		return BoundResult{}, fmt.Errorf("finitelb: lower bound: %w", err)
 	}
@@ -87,8 +142,7 @@ func (s *System) LowerBound(t int) (BoundResult, error) {
 // system is not stable at this (ρ, T); larger T both tightens the bound
 // and widens its stability region, at a block size growing as C(N+T−1, T).
 func (s *System) UpperBound(t int) (BoundResult, error) {
-	model := &sqd.UpperBound{P: sqd.BoundParams{Params: s.p, T: t}}
-	sol, err := qbd.Solve(model, qbd.Options{})
+	sol, err := s.solve(chainKey{upper: true, t: t})
 	if err != nil {
 		if errors.Is(err, qbd.ErrUnstable) {
 			return BoundResult{}, fmt.Errorf("finitelb: upper bound with T=%d: %w", t, err)
@@ -325,7 +379,9 @@ func (b *DelayBracket) Mean() (lower, upper float64) {
 }
 
 // DelayDistributionBracket solves both bound chains with threshold T and
-// returns the distributional bracket. The lower side is solved by the full
+// returns the distributional bracket. The upper chain is the one
+// UpperBound solves, so after DelayBounds(t) or StableBounds on the same
+// System it is not solved again. The lower side is solved by the full
 // matrix-geometric pipeline, not by Theorem 3's scalar shortcut that
 // LowerBound uses: the two give the same mean delay
 // (TestLowerBoundPathsAgree) but not the same numbers under it — their π₁
@@ -334,8 +390,7 @@ func (b *DelayBracket) Mean() (lower, upper float64) {
 // (bench/goldens/solve.json, p99_lower). Returns ErrUnstable (wrapped)
 // when the upper-bound chain is unstable at this (ρ, T).
 func (s *System) DelayDistributionBracket(t int) (*DelayBracket, error) {
-	lbModel := &sqd.LowerBound{P: sqd.BoundParams{Params: s.p, T: t}}
-	lbSol, err := qbd.Solve(lbModel, qbd.Options{})
+	lbSol, err := s.solve(chainKey{t: t})
 	if err != nil {
 		return nil, fmt.Errorf("finitelb: delay bracket lower: %w", err)
 	}
@@ -343,8 +398,7 @@ func (s *System) DelayDistributionBracket(t int) (*DelayBracket, error) {
 	if err != nil {
 		return nil, fmt.Errorf("finitelb: delay bracket lower: %w", err)
 	}
-	ubModel := &sqd.UpperBound{P: sqd.BoundParams{Params: s.p, T: t}}
-	ubSol, err := qbd.Solve(ubModel, qbd.Options{})
+	ubSol, err := s.solve(chainKey{upper: true, t: t})
 	if err != nil {
 		return nil, fmt.Errorf("finitelb: delay bracket upper with T=%d: %w", t, err)
 	}

@@ -2,8 +2,11 @@ package finitelb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"finitelb/internal/qbd"
@@ -195,6 +198,134 @@ func TestUpperBoundUnstableSurfaces(t *testing.T) {
 	// DelayBounds propagates the failure.
 	if _, err := s.DelayBounds(2); !errors.Is(err, ErrUnstable) {
 		t.Errorf("DelayBounds err = %v, want ErrUnstable", err)
+	}
+}
+
+// bracketBits lists the bits of a bracket's means, quantiles and tails.
+func bracketBits(b *DelayBracket) []uint64 {
+	var bits []uint64
+	add := func(lo, hi float64) { bits = append(bits, math.Float64bits(lo), math.Float64bits(hi)) }
+	add(b.Mean())
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+		add(b.Quantile(q))
+	}
+	for _, x := range []float64{1, 4, 10} {
+		add(b.Tail(x))
+	}
+	return bits
+}
+
+func boundsBits(b Bounds) string {
+	return fmt.Sprintf("%x %x %x %x", math.Float64bits(b.Lower.MeanDelay), math.Float64bits(b.Upper.MeanDelay),
+		math.Float64bits(b.Lower.MeanWaiting), math.Float64bits(b.Upper.MeanWaiting))
+}
+
+// TestDelayDistributionBracketReusesUpperChain: after DelayBounds(4) the
+// bracket reads the upper chain DelayBounds solved, instead of solving it
+// again, and equals a fresh System's bracket bit for bit.
+func TestDelayDistributionBracketReusesUpperChain(t *testing.T) {
+	const T = 4
+	sys, err := NewSystem(6, 2, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.DelayBounds(T); err != nil {
+		t.Fatal(err)
+	}
+	upperKey := chainKey{upper: true, t: T}
+	upper := sys.chains[upperKey].sol
+	got, err := sys.DelayDistributionBracket(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.chains[upperKey].sol != upper {
+		t.Error("DelayDistributionBracket solved the upper chain again")
+	}
+	fresh, err := NewSystem(6, 2, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.DelayDistributionBracket(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := bracketBits(got), bracketBits(want); !slices.Equal(g, w) {
+		t.Errorf("bracket after DelayBounds %x, fresh %x", g, w)
+	}
+}
+
+// TestUnstableChainNotKept: a chain the drift check refuses is not kept,
+// so asking again solves again (and fails again).
+func TestUnstableChainNotKept(t *testing.T) {
+	sys, err := NewSystem(3, 2, 0.97)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sys.UpperBound(2); !errors.Is(err, ErrUnstable) {
+			t.Fatalf("err = %v, want ErrUnstable", err)
+		}
+		if _, kept := sys.chains[chainKey{upper: true, t: 2}]; kept {
+			t.Fatal("unstable chain kept")
+		}
+	}
+}
+
+// TestSystemConcurrentUse: four goroutines asking one System for bounds
+// and brackets get what a fresh System gives, bit for bit (and, under
+// -race, without a data race).
+func TestSystemConcurrentUse(t *testing.T) {
+	const T = 3
+	fresh, err := NewSystem(5, 2, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := fresh.DelayBounds(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBr, err := fresh.DelayDistributionBracket(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := boundsBits(wantB) + fmt.Sprint(bracketBits(wantBr))
+
+	shared, err := NewSystem(5, 2, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b Bounds
+			var br *DelayBracket
+			var err error
+			if g%2 == 0 { // half ask for the bracket first
+				br, err = shared.DelayDistributionBracket(T)
+				if err == nil {
+					b, err = shared.DelayBounds(T)
+				}
+			} else {
+				b, err = shared.DelayBounds(T)
+				if err == nil {
+					br, err = shared.DelayDistributionBracket(T)
+				}
+			}
+			if err != nil {
+				got[g] = err.Error()
+				return
+			}
+			got[g] = boundsBits(b) + fmt.Sprint(bracketBits(br))
+		}()
+	}
+	wg.Wait()
+	for g, s := range got {
+		if s != want {
+			t.Errorf("goroutine %d: %s, want %s", g, s, want)
+		}
 	}
 }
 

@@ -171,7 +171,7 @@ func New(p sqd.BoundParams, law Law, maxTotal int) (*Chain, error) {
 	for total := 0; total <= maxTotal; total++ {
 		states = append(states, statespace.StatesWithTotal(p.N, p.T, total)...)
 		if len(states) > maxStates {
-			return nil, fmt.Errorf("embedded: truncation %d exceeds the dense-solver budget of %d states; lower maxTotal, T or N", maxTotal, maxStates)
+			return nil, fmt.Errorf("embedded: truncation depth %d exceeds the dense-solver budget: %d states by depth %d, budget %d states; lower maxTotal, T or N", maxTotal, len(states), total, maxStates)
 		}
 	}
 	c := &Chain{P: p, Law: law}

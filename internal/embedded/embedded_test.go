@@ -1,11 +1,14 @@
 package embedded
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"finitelb/internal/qbd"
 	"finitelb/internal/sqd"
+	"finitelb/internal/statespace"
 	"finitelb/internal/workload"
 )
 
@@ -71,6 +74,31 @@ func TestNewRejectsMismatchedMean(t *testing.T) {
 	}
 	if _, err := New(p, mustLaw(t, workload.Poisson{}, 2.4), 5000); err == nil {
 		t.Error("truncation beyond the state budget accepted")
+	}
+}
+
+// TestBudgetErrorNamesDepthStatesAndBudget: the refusal reports the
+// requested depth, the number of states enumerated when the budget
+// tripped, and the budget, each under its own name.
+func TestBudgetErrorNamesDepthStatesAndBudget(t *testing.T) {
+	p := bp(3, 2, 0.8, 2)
+	const depth, budget = 5000, 4000
+	states, reached := 0, 0
+	for ; states <= budget; reached++ {
+		states += len(statespace.StatesWithTotal(p.N, p.T, reached))
+	}
+	_, err := New(p, mustLaw(t, workload.Poisson{}, 2.4), depth)
+	if err == nil {
+		t.Fatal("truncation beyond the state budget accepted")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("depth %d exceeds", depth),
+		fmt.Sprintf("%d states by depth %d", states, reached-1),
+		fmt.Sprintf("budget %d states", budget),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 

@@ -105,8 +105,72 @@ func (m *Dense) SetIdentity() {
 func (m *Dense) AddScaled(b *Dense, s float64) {
 	m.sameShape(b)
 	for i, v := range b.data {
-		m.data[i] += s * v
+		m.data[i] += float64(s * v)
 	}
+}
+
+// AddScaledCols adds s·b into the columns cols of m: column c of b lands in
+// column cols[c]. Each touched element sees the one rounding AddScaled
+// gives it, so on a b compacted by Select(nil, cols) from a matrix that is
+// zero outside cols, the sum equals AddScaled's bit for bit (adding s·0 to
+// an element leaves it unchanged, barring the sign of a zero).
+func (m *Dense) AddScaledCols(b *Dense, s float64, cols []int) {
+	if b.rows != m.rows || b.cols != len(cols) {
+		panic(fmt.Sprintf("mat: AddScaledCols of %d×%d into %d columns of %d×%d", b.rows, b.cols, len(cols), m.rows, m.cols))
+	}
+	for i := 0; i < m.rows; i++ {
+		mi, bi := m.Row(i), b.Row(i)
+		for c, j := range cols {
+			mi[j] += float64(s * bi[c])
+		}
+	}
+}
+
+// Select returns the submatrix of m on the listed rows and columns, in
+// list order; a nil list selects every row or column.
+func (m *Dense) Select(rows, cols []int) *Dense {
+	if rows == nil {
+		rows = seq(m.rows)
+	}
+	if cols == nil {
+		cols = seq(m.cols)
+	}
+	s := NewDense(len(rows), len(cols))
+	for r, i := range rows {
+		mi, si := m.Row(i), s.Row(r)
+		for c, j := range cols {
+			si[c] = mi[j]
+		}
+	}
+	return s
+}
+
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// NonzeroCols lists, in ascending order, the columns of m that hold a
+// nonzero entry.
+func (m *Dense) NonzeroCols() []int {
+	nz := make([]bool, m.cols)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			if v != 0 {
+				nz[j] = true
+			}
+		}
+	}
+	var cols []int
+	for j, ok := range nz {
+		if ok {
+			cols = append(cols, j)
+		}
+	}
+	return cols
 }
 
 // Add returns m + b as a new matrix.
@@ -161,6 +225,13 @@ const (
 // dimensions are tiled so each tile of b is loaded into cache once and
 // reused across all rows of m, instead of being streamed from memory for
 // every row as the naive ikj order does on large operands.
+//
+// Each element of dst is 0 + Σ_k m_ik·b_kj, summed in ascending k with
+// every zero m_ik skipped, and a zero column of b yields a column of +0.
+// So the product of operands compacted by Select — the zero columns of m
+// dropped together with the matching rows of b, and the zero columns of b
+// dropped — equals the selected part of the full product bit for bit, at
+// a fraction of the work: the logarithmic reduction relies on this.
 func (m *Dense) MulTo(dst, b *Dense) *Dense {
 	if m.cols != b.rows {
 		panic(fmt.Sprintf("mat: dimension mismatch %d×%d · %d×%d", m.rows, m.cols, b.rows, b.cols))
@@ -186,15 +257,31 @@ func (m *Dense) MulTo(dst, b *Dense) *Dense {
 					if a == 0 {
 						continue
 					}
-					bk := b.data[k*b.cols+jj : k*b.cols+jend]
-					for j, bv := range bk {
-						ci[j] += a * bv
-					}
+					axpy(a, b.data[k*b.cols+jj:k*b.cols+jend], ci)
 				}
 			}
 		}
 	}
 	return dst
+}
+
+// axpy adds a·x to y, element by element (len(y) ≥ len(x)). Each product
+// is rounded before it is added, so no platform fuses the two, and
+// y − a·x is computed as y + (−a)·x, which is the same number. The loop is
+// unrolled by four; every element still sees one product and one add.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs, ys := x[j:j+4:j+4], y[j:j+4:j+4]
+		ys[0] += float64(a * xs[0])
+		ys[1] += float64(a * xs[1])
+		ys[2] += float64(a * xs[2])
+		ys[3] += float64(a * xs[3])
+	}
+	for ; j < len(x); j++ {
+		y[j] += float64(a * x[j])
+	}
 }
 
 // MulVec returns the matrix-vector product m·x.
@@ -207,7 +294,7 @@ func (m *Dense) MulVec(x []float64) []float64 {
 		row := m.Row(i)
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		y[i] = s
 	}
@@ -226,7 +313,7 @@ func (m *Dense) VecMul(x []float64) []float64 {
 		}
 		row := m.Row(i)
 		for j, v := range row {
-			y[j] += xi * v
+			y[j] += float64(xi * v)
 		}
 	}
 	return y

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,18 +227,6 @@ func TestSolveLeft(t *testing.T) {
 	}
 }
 
-func TestSolveMatLeft(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 0}, {1, 3}})
-	b := NewDenseFrom([][]float64{{4, 6}, {2, 9}})
-	x, err := SolveMatLeft(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Mul(a).AlmostEqual(b, 1e-12) {
-		t.Errorf("X·A ≠ B:\n%v", x.Mul(a))
-	}
-}
-
 func TestSpectralRadius(t *testing.T) {
 	// Stochastic matrix: spectral radius exactly 1.
 	p := NewDenseFrom([][]float64{{0.5, 0.5}, {0.2, 0.8}})
@@ -457,5 +446,132 @@ func BenchmarkMulTo(b *testing.B) {
 				a.MulTo(dst, c)
 			}
 		})
+	}
+}
+
+// sameBits reports the first element where a and b differ in any bit.
+func sameBits(t *testing.T, what string, a, b *Dense) {
+	t.Helper()
+	if a.rows != b.rows || a.cols != b.cols {
+		t.Fatalf("%s: shape %d×%d vs %d×%d", what, a.rows, a.cols, b.rows, b.cols)
+	}
+	for i, v := range a.data {
+		if math.Float64bits(v) != math.Float64bits(b.data[i]) {
+			t.Fatalf("%s: element (%d, %d) is %v, want %v bit for bit", what, i/a.cols, i%a.cols, v, b.data[i])
+		}
+	}
+}
+
+// sparseMatrix returns an r×c matrix whose entries are zero with
+// probability zeroP and uniform in [−1, 1) otherwise.
+func sparseMatrix(rng *rand.Rand, r, c int, zeroP float64) *Dense {
+	m := randomMatrix(rng, r, c, 1)
+	for i := range m.data {
+		if rng.Float64() < zeroP {
+			m.data[i] = 0
+		}
+	}
+	return m
+}
+
+// TestSolveMatMatchesColumnSolve: the row-by-row SolveMat equals Solve on
+// each column bit for bit — on dense and sparse matrices that need
+// pivoting, and on right-hand sides with zero columns.
+func TestSolveMatMatchesColumnSolve(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 33))
+	pivoted := 0
+	for n := 1; n <= 70; n++ {
+		for _, zeroP := range []float64{0, 0.7} {
+			a := sparseMatrix(rng, n, n, zeroP)
+			for i := 0; i < n; i++ {
+				a.Inc(i, (i+1)%n, 4) // nonsingular, and off the diagonal: pivoting needed
+			}
+			f, err := Factorize(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			for i, p := range f.piv {
+				if p != i {
+					pivoted++
+					break
+				}
+			}
+			b := sparseMatrix(rng, n, 1+rng.IntN(6), zeroP)
+			for i := 0; i < n; i++ {
+				b.Set(i, 0, 0) // one all-zero right-hand side
+			}
+			want := NewDense(n, b.cols)
+			col := make([]float64, n)
+			for j := 0; j < b.cols; j++ {
+				for i := range col {
+					col[i] = b.At(i, j)
+				}
+				for i, v := range f.Solve(col) {
+					want.Set(i, j, v)
+				}
+			}
+			sameBits(t, fmt.Sprintf("n=%d zeroP=%v SolveMat", n, zeroP), f.SolveMat(b), want)
+		}
+	}
+	if pivoted < 100 {
+		t.Errorf("only %d of 140 factorizations pivoted", pivoted)
+	}
+}
+
+// TestCompactedOperandsMatchFull: on matrices whose zero columns are
+// known, the product, solve and scatter-add of the compacted operands
+// (the logarithmic reduction's form) equal the dense ones bit for bit.
+func TestCompactedOperandsMatchFull(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 4))
+	for _, n := range []int{1, 5, 64, 70, 130} {
+		pick := func() []int { // a nonempty ascending column subset
+			var cols []int
+			for j := 0; j < n; j++ {
+				if rng.Float64() < 0.2 {
+					cols = append(cols, j)
+				}
+			}
+			if len(cols) == 0 {
+				cols = []int{rng.IntN(n)}
+			}
+			return cols
+		}
+		withCols := func(cols []int) *Dense { // nonzero exactly on cols
+			m := NewDense(n, n)
+			for _, j := range cols {
+				for i := 0; i < n; i++ {
+					m.Set(i, j, rng.Float64()*2-1)
+				}
+				m.Set(rng.IntN(n), j, 1+rng.Float64()) // and never all zero
+			}
+			return m
+		}
+		k, j := pick(), pick()
+		left, right := withCols(k), withCols(j)
+		if got := left.NonzeroCols(); !slices.Equal(got, k) {
+			t.Fatalf("n=%d: NonzeroCols = %v, want %v", n, got, k)
+		}
+		full := left.Mul(right)
+		for i := 0; i < n; i++ {
+			for c := 0; c < n; c++ {
+				if v := full.At(i, c); !slices.Contains(j, c) && math.Float64bits(v) != 0 {
+					t.Fatalf("n=%d: product (%d, %d) = %v in a zero column of the right operand, want +0", n, i, c, v)
+				}
+			}
+		}
+		compact := left.Select(nil, k).Mul(right.Select(k, j))
+		sameBits(t, fmt.Sprintf("n=%d product", n), compact, full.Select(nil, j))
+
+		a := randomDiagDominant(rng, n)
+		f, err := Factorize(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("n=%d solve", n), f.SolveMat(right.Select(nil, j)), f.SolveMat(right).Select(nil, j))
+
+		dense, scattered := a.Clone(), a.Clone()
+		dense.AddScaled(right, -1)
+		scattered.AddScaledCols(right.Select(nil, j), -1, j)
+		sameBits(t, fmt.Sprintf("n=%d scatter-add", n), scattered, dense)
 	}
 }

@@ -79,7 +79,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }

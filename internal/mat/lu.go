@@ -10,15 +10,22 @@ type LU struct {
 	sign int
 }
 
-// Factorize computes the LU factorization of a. It returns ErrSingular if a
-// pivot is exactly zero or smaller in magnitude than a conservative
-// threshold scaled by the matrix norm.
+// Factorize computes the LU factorization of a, leaving a unchanged. It
+// returns ErrSingular if a pivot is exactly zero or smaller in magnitude
+// than a conservative threshold scaled by the matrix norm.
 func Factorize(a *Dense) (*LU, error) {
+	return FactorizeInPlace(a.Clone())
+}
+
+// FactorizeInPlace is Factorize without the copy: the factors overwrite a,
+// which the caller must not use afterwards. It suits a large matrix built
+// only to be solved, such as the 16 MB boundary system of a block-330 QBD.
+func FactorizeInPlace(a *Dense) (*LU, error) {
 	if a.rows != a.cols {
 		panic("mat: Factorize requires a square matrix")
 	}
 	n := a.rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{lu: a, piv: make([]int, n), sign: 1}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -50,10 +57,7 @@ func Factorize(a *Dense) (*LU, error) {
 			if m == 0 {
 				continue
 			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
+			axpy(-m, lu.Row(k)[k+1:], lu.Row(i)[k+1:])
 		}
 	}
 	return f, nil
@@ -74,7 +78,7 @@ func (f *LU) Solve(b []float64) []float64 {
 		ri := f.lu.Row(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= ri[j] * x[j]
+			s -= float64(ri[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -83,28 +87,53 @@ func (f *LU) Solve(b []float64) []float64 {
 		ri := f.lu.Row(i)
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= ri[j] * x[j]
+			s -= float64(ri[j] * x[j])
 		}
 		x[i] = s / ri[i]
 	}
 	return x
 }
 
-// SolveMat solves A·X = B column by column and returns X.
+// SolveMat solves A·X = B and returns X. It substitutes whole rows of X:
+// copy the permuted rows of B, then x_i −= l_ij·x_j for j < i, then
+// x_i −= u_ij·x_j for j > i and x_i /= u_ii, skipping zero multipliers.
+// Every element of X thus sees the operations of Solve on its column, in
+// the same order; a skipped term 0·x_j changes no bits unless the running
+// value is −0, which cannot happen when B holds no −0. So X equals the
+// column-by-column solve bit for bit, while the inner loops run along
+// contiguous rows, and a B narrowed to its nonzero columns (Select) yields
+// exactly those columns of the full solve.
 func (f *LU) SolveMat(b *Dense) *Dense {
 	n := f.lu.rows
 	if b.rows != n {
 		panic("mat: dimension mismatch in LU.SolveMat")
 	}
 	x := NewDense(n, b.cols)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
+	for i := 0; i < n; i++ {
+		copy(x.Row(i), b.Row(f.piv[i]))
+	}
+	// Forward substitution with unit-diagonal L.
+	for i := 1; i < n; i++ {
+		xi := x.Row(i)
+		for j, l := range f.lu.Row(i)[:i] {
+			if l == 0 {
+				continue
+			}
+			axpy(-l, x.Row(j), xi)
 		}
-		sol := f.Solve(col)
-		for i := 0; i < n; i++ {
-			x.Set(i, j, sol[i])
+	}
+	// Back substitution with U.
+	for i := n - 1; i >= 0; i-- {
+		ri, xi := f.lu.Row(i), x.Row(i)
+		for j := i + 1; j < n; j++ {
+			u := ri[j]
+			if u == 0 {
+				continue
+			}
+			axpy(-u, x.Row(j), xi)
+		}
+		for c := range xi {
+			xi[c] /= ri[i]
 		}
 	}
 	return x
@@ -139,14 +168,9 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 
 // SolveLeft solves x·A = b for the row vector x (equivalently Aᵀ·xᵀ = bᵀ).
 func SolveLeft(a *Dense, b []float64) ([]float64, error) {
-	return Solve(a.T(), b)
-}
-
-// SolveMatLeft solves X·A = B for X.
-func SolveMatLeft(a, b *Dense) (*Dense, error) {
-	f, err := Factorize(a.T())
+	f, err := FactorizeInPlace(a.T())
 	if err != nil {
 		return nil, err
 	}
-	return f.SolveMat(b.T()).T(), nil
+	return f.Solve(b), nil
 }

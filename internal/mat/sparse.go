@@ -86,7 +86,7 @@ func (m *CSR) MulVec(x []float64) []float64 {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
+			s += float64(m.vals[k] * x[m.colIdx[k]])
 		}
 		y[i] = s
 	}
@@ -132,7 +132,7 @@ func StationaryGS(qt *CSR, tol float64, maxSweeps int) ([]float64, error) {
 			var s float64
 			qt.RowNZ(j, func(i int, v float64) {
 				if i != j {
-					s += pi[i] * v
+					s += float64(pi[i] * v)
 				}
 			})
 			next := s / -diag[j]

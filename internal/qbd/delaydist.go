@@ -101,11 +101,7 @@ func (s *Solution) JoinDistribution() ([]float64, error) {
 				add(jt.Level+q-1, p*jt.W)
 			}
 		}
-		if s.R != nil {
-			piQ = s.R.VecMul(piQ)
-		} else {
-			piQ = mat.VecScale(piQ, s.ScalarRatio)
-		}
+		piQ = s.step(piQ)
 		if q++; q > 1<<20 {
 			return nil, fmt.Errorf("qbd: join-distribution block walk did not converge (residual %.3g after %d blocks)", mat.VecSum(piQ), q)
 		}

@@ -2,6 +2,7 @@ package qbd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"finitelb/internal/mat"
@@ -147,5 +148,35 @@ func TestDriftUpperBoundLosesCapacity(t *testing.T) {
 	realSlack := 1 - rho // block-crossing units: the lower bound's margin
 	if down-up >= realSlack {
 		t.Errorf("upper bound drift margin %v not smaller than real slack %v", down-up, realSlack)
+	}
+}
+
+// TestGZeroColumnsFollowA2: G has zero columns exactly where A2 does, and
+// they hold +0, which is what lets LogReduction carry only the nonzero
+// columns. The block-330 chain is lbd's startup point.
+func TestGZeroColumnsFollowA2(t *testing.T) {
+	for _, model := range []BoundModel{ubModel(8, 2, 0.85, 4), ubModel(6, 2, 0.7, 3)} {
+		b, err := NewBlocks(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := LogReduction(b.A0, b.A1, b.A2, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nz := b.A2.NonzeroCols()
+		if got := g.NonzeroCols(); !slices.Equal(got, nz) {
+			t.Errorf("%+v: G's nonzero columns %v, A2's %v", b.P, got, nz)
+		}
+		if len(nz) >= b.BlockSize()/2 {
+			t.Errorf("%+v: A2 has %d nonzero columns of %d; expected a sparse down block", b.P, len(nz), b.BlockSize())
+		}
+		for i := 0; i < g.Rows(); i++ {
+			for j, v := range g.Row(i) {
+				if v == 0 && math.Float64bits(v) != 0 {
+					t.Fatalf("%+v: G[%d][%d] is −0", b.P, i, j)
+				}
+			}
+		}
 	}
 }

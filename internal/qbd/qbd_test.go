@@ -101,7 +101,7 @@ func TestTotalMassIsOne(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T %+v: %v", tc.model, tc.opts, err)
 		}
-		mass, err := sol.TotalMass(nil)
+		mass, err := sol.TotalMass()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,11 +67,8 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 			ErrUnstable, sol.DriftUp, sol.DriftDown, b.P.N, b.P.D, b.P.Rho, b.P.T)
 	}
 
-	m := b.BlockSize()
-	var rEff *mat.Dense // the matrix standing in for R in Eq. (13)/(14)
 	if opts.ImprovedLB {
 		sol.ScalarRatio = math.Pow(b.P.Rho, float64(b.P.N))
-		rEff = mat.Identity(m).Scale(sol.ScalarRatio)
 	} else {
 		g, iters, err := LogReduction(b.A0, b.A1, b.A2, opts.Tol)
 		if err != nil {
@@ -82,13 +79,12 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 		if err != nil {
 			return nil, err
 		}
-		rEff = sol.R
 	}
 
-	if err := sol.solveBoundary(rEff); err != nil {
+	if err := sol.solveBoundary(); err != nil {
 		return nil, err
 	}
-	if err := sol.metrics(rEff); err != nil {
+	if err := sol.metrics(); err != nil {
 		return nil, err
 	}
 	return sol, nil
@@ -104,54 +100,69 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 // whose balance equations have rank deficiency 1; one equation is replaced
 // by the matrix-geometric normalization
 // π_bnd·e + π0·e + π1·(I−R)⁻¹·e = 1.
-func (s *Solution) solveBoundary(r *mat.Dense) error {
+//
+// On Theorem 3's path R = ρᴺ·I, so A1 + R·A2 is A1 + ρᴺ·A2 and every tail
+// weight is 1/(1−ρᴺ). The dense product, inverse and matrix-vector product
+// that the R path runs would, on this diagonal R, only add exact zeros to
+// these same terms, so the scalar forms give the same bits.
+func (s *Solution) solveBoundary() error {
 	b := s.Blocks
 	nb := b.Boundary.Len()
 	m := b.BlockSize()
 	size := nb + 2*m
 
-	sys := mat.NewDense(size, size)
-	copyBlock := func(dst *mat.Dense, src *mat.Dense, ro, co int) {
+	// x solves x·sys = e₀, that is sysᵀ·xᵀ = e₀ᵀ, so sysᵀ is what gets
+	// factorized; it is assembled transposed to begin with.
+	sysT := mat.NewDense(size, size)
+	// put writes src as the block of sys at row ro, column co. Zeros are
+	// skipped: sysT starts at +0, and the blocks hold no −0.
+	put := func(src *mat.Dense, ro, co int) {
 		for i := 0; i < src.Rows(); i++ {
-			for j := 0; j < src.Cols(); j++ {
-				dst.Set(ro+i, co+j, src.At(i, j))
+			for j, v := range src.Row(i) {
+				if v != 0 {
+					sysT.Set(co+j, ro+i, v)
+				}
 			}
 		}
 	}
-	copyBlock(sys, b.R00, 0, 0)
-	copyBlock(sys, b.R01, 0, nb)
-	copyBlock(sys, b.R10, nb, 0)
-	copyBlock(sys, b.A1, nb, nb)
-	copyBlock(sys, b.A0, nb, nb+m)
-	copyBlock(sys, b.A2, nb+m, nb)
-	copyBlock(sys, b.A1.Add(r.Mul(b.A2)), nb+m, nb+m)
+	put(b.R00, 0, 0)
+	put(b.R01, 0, nb)
+	put(b.R10, nb, 0)
+	put(b.A1, nb, nb)
+	put(b.A0, nb, nb+m)
+	put(b.A2, nb+m, nb)
 
 	// Normalization weights: 1 for boundary and B0 states, (I−R)⁻¹e for B1.
-	ones := make([]float64, m)
-	for i := range ones {
-		ones[i] = 1
-	}
-	tailWeights, err := mat.GeometricInv(r)
-	if err != nil {
-		return fmt.Errorf("qbd: (I−R) singular — spectral radius ≥ 1: %w", err)
-	}
 	w := make([]float64, size)
-	for i := 0; i < nb+m; i++ {
+	for i := range w {
 		w[i] = 1
 	}
-	tw := tailWeights.MulVec(ones)
-	copy(w[nb+m:], tw)
+	tw := w[nb+m:]
+	if s.R != nil {
+		put(b.A1.Add(s.R.Mul(b.A2)), nb+m, nb+m)
+		tailWeights, err := mat.GeometricInv(s.R)
+		if err != nil {
+			return fmt.Errorf("qbd: (I−R) singular — spectral radius ≥ 1: %w", err)
+		}
+		copy(tw, tailWeights.MulVec(tw))
+	} else {
+		local := b.A1.Clone()
+		local.AddScaled(b.A2, s.ScalarRatio)
+		put(local, nb+m, nb+m)
+		for i := range tw {
+			tw[i] = 1 / (1 - s.ScalarRatio)
+		}
+	}
 
 	// Replace the first balance equation (column 0) by the normalization.
-	for i := 0; i < size; i++ {
-		sys.Set(i, 0, w[i])
-	}
+	copy(sysT.Row(0), w)
 	rhs := make([]float64, size)
 	rhs[0] = 1
-	x, err := mat.SolveLeft(sys, rhs)
+	f, err := mat.FactorizeInPlace(sysT)
 	if err != nil {
 		return fmt.Errorf("qbd: boundary system solve: %w", err)
 	}
+	x := f.Solve(rhs)
 	for _, v := range x {
 		if v < -1e-9 {
 			return fmt.Errorf("qbd: boundary solve produced negative probability %.3g", v)
@@ -167,7 +178,7 @@ func (s *Solution) solveBoundary(r *mat.Dense) error {
 // geometric level sums: in non-boundary blocks every server is busy, so a
 // state of block q ≥ 1 holds exactly (q−1)·N more jobs (and waiting jobs)
 // than its pattern-aligned representative in B1.
-func (s *Solution) metrics(r *mat.Dense) error {
+func (s *Solution) metrics() error {
 	b := s.Blocks
 	n := float64(b.P.N)
 
@@ -189,13 +200,21 @@ func (s *Solution) metrics(r *mat.Dense) error {
 		wait1[i] = float64(st.WaitingJobs())
 	}
 	// Σ_{q≥1} π1·R^{q−1}·v  and  Σ_{q≥1} (q−1)·π1·R^{q−1}·(N·e).
-	sum1, err := mat.GeometricVecSum(s.Pi1, r)
+	sum1, err := s.geometricSum(s.Pi1)
 	if err != nil {
 		return err
 	}
-	weighted, err := mat.GeometricWeightedVecSum(s.Pi1, r)
-	if err != nil {
-		return err
+	var weighted []float64
+	if s.R != nil {
+		if weighted, err = mat.GeometricWeightedVecSum(s.Pi1, s.R); err != nil {
+			return err
+		}
+	} else {
+		// π1·R·(I−R)⁻², as the R path's product and two solves compute it.
+		weighted = make([]float64, len(s.Pi1))
+		for i, p := range s.Pi1 {
+			weighted[i] = p * s.ScalarRatio / (1 - s.ScalarRatio) / (1 - s.ScalarRatio)
+		}
 	}
 	s.MeanJobs += mat.Dot(sum1, jobs1) + n*mat.VecSum(weighted)
 	s.MeanWaiting += mat.Dot(sum1, wait1) + n*mat.VecSum(weighted)
@@ -208,19 +227,34 @@ func (s *Solution) metrics(r *mat.Dense) error {
 
 // TotalMass returns the total stationary probability implied by the
 // solution (should be 1); exposed for validation.
-func (s *Solution) TotalMass(r *mat.Dense) (float64, error) {
-	if r == nil {
-		if s.R != nil {
-			r = s.R
-		} else {
-			r = mat.Identity(len(s.Pi1)).Scale(s.ScalarRatio)
-		}
-	}
-	tail, err := mat.GeometricVecSum(s.Pi1, r)
+func (s *Solution) TotalMass() (float64, error) {
+	tail, err := s.geometricSum(s.Pi1)
 	if err != nil {
 		return 0, err
 	}
 	return mat.VecSum(s.PiBoundary) + mat.VecSum(s.Pi0) + mat.VecSum(tail), nil
+}
+
+// geometricSum returns x·(I−R)⁻¹ = Σ_{k≥0} x·Rᵏ. On Theorem 3's path it
+// divides by 1−ρᴺ, which is what the LU solve against the diagonal I−R
+// does to each entry.
+func (s *Solution) geometricSum(x []float64) ([]float64, error) {
+	if s.R != nil {
+		return mat.GeometricVecSum(x, s.R)
+	}
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = v / (1 - s.ScalarRatio)
+	}
+	return y, nil
+}
+
+// step returns x·R, the next block's stationary mass from this one's.
+func (s *Solution) step(x []float64) []float64 {
+	if s.R != nil {
+		return s.R.VecMul(x)
+	}
+	return mat.VecScale(append([]float64(nil), x...), s.ScalarRatio)
 }
 
 // LevelMass returns π_q·e for q ≥ 1 using the geometric recursion; exposed
@@ -229,13 +263,9 @@ func (s *Solution) LevelMass(q int) float64 {
 	if q < 1 {
 		panic("qbd: LevelMass requires q ≥ 1")
 	}
-	v := append([]float64(nil), s.Pi1...)
+	v := s.Pi1
 	for i := 1; i < q; i++ {
-		if s.R != nil {
-			v = s.R.VecMul(v)
-		} else {
-			mat.VecScale(v, s.ScalarRatio)
-		}
+		v = s.step(v)
 	}
 	return mat.VecSum(v)
 }

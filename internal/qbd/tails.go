@@ -41,11 +41,7 @@ func (s *Solution) ServerTail(k int) (float64, error) {
 		for i, p := range piQ {
 			tail += p * fracAtLeast(b.B1[i], k-(q-1))
 		}
-		if s.R != nil {
-			piQ = s.R.VecMul(piQ)
-		} else {
-			piQ = mat.VecScale(piQ, s.ScalarRatio)
-		}
+		piQ = s.step(piQ)
 	}
 	var rest float64
 	if s.R != nil {
