@@ -17,8 +17,11 @@
 //
 // Both live on a truncated state space whose blocks repeat, so stationary
 // distributions follow Neuts' matrix-geometric form π_{q+1} = π_q·R; for
-// the lower bound the rate matrix collapses to the scalar ρᴺ (the paper's
-// Theorem 3), making it essentially free to evaluate.
+// the lower bound R can be taken as ρᴺ·I (the paper's Theorem 3). That
+// diagonal R skips the logarithmic reduction, so the lower bound costs one
+// boundary solve. Its mean delay agrees with the solved R's to 1e-8 at
+// T ≤ 3 (less closely at high ρ and larger T), its delay quantiles to about
+// 1e-6 (see DelayDistributionBracket).
 //
 // # Quick start
 //

@@ -30,14 +30,16 @@ func main() {
 	// bound it sits for this small N at high load.
 	fmt.Printf("asymptotic   %.4f            (Mitzenmacher, N → ∞)\n", sys.AsymptoticDelay())
 
-	// Ground truth two ways: exact numerical solve and simulation. (The
-	// cap of 15 jobs per queue is effectively infinite for SQ(2) — its
-	// queue tails collapse doubly exponentially.)
+	// Ground truth two ways: exact numerical solve and simulation. The
+	// exact solve caps each queue at 15 jobs; the truncation mass is the
+	// stationary probability on the clipped frontier, so it says how far
+	// from exact the cap leaves the number.
 	exact, err := sys.ExactDelay(15)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exact        %.4f            (numerical stationary solve)\n", exact.MeanDelay)
+	fmt.Printf("exact        %.4f            (numerical stationary solve, cap 15, truncation mass %.2g)\n",
+		exact.MeanDelay, exact.TruncationMass)
 
 	simr, err := sys.Simulate(finitelb.SimOptions{Jobs: 1_000_000, Seed: 7})
 	if err != nil {

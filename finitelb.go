@@ -36,7 +36,7 @@ type System struct {
 }
 
 // chainKey names one bound chain of a System: which bound, its threshold
-// T, and whether it is solved by Theorem 3's scalar path.
+// T, and whether it is solved with Theorem 3's R = ρᴺ·I.
 type chainKey struct {
 	upper    bool
 	t        int
@@ -127,7 +127,7 @@ type Bounds struct {
 }
 
 // LowerBound computes the finite-regime lower bound on the mean delay with
-// threshold T via Theorem 3's improved method (scalar rate ρᴺ): the larger
+// threshold T via Theorem 3's improved method (rate matrix ρᴺ·I): the larger
 // T, the tighter (and costlier) the bound.
 func (s *System) LowerBound(t int) (BoundResult, error) {
 	sol, err := s.solve(chainKey{t: t, improved: true})
@@ -382,11 +382,12 @@ func (b *DelayBracket) Mean() (lower, upper float64) {
 // returns the distributional bracket. The upper chain is the one
 // UpperBound solves, so after DelayBounds(t) or StableBounds on the same
 // System it is not solved again. The lower side is solved by the full
-// matrix-geometric pipeline, not by Theorem 3's scalar shortcut that
+// matrix-geometric pipeline, not with Theorem 3's R = ρᴺ·I that
 // LowerBound uses: the two give the same mean delay
 // (TestLowerBoundPathsAgree) but not the same numbers under it — their π₁
-// differ by up to 1.9e-6 and the join weights by 1.1e-7 at block 330 —
-// and the quantiles built on this path are pinned to 1e-9
+// differ by up to 1.9e-6 and the join weights by 1.1e-7 at block 330, and
+// their p99 by 3.1e-7 relative at (8, 2, .85, 4) and 3.8e-6 at
+// (6, 2, .9, 4) — and the quantiles built on this path are pinned to 1e-9
 // (bench/goldens/solve.json, p99_lower). Returns ErrUnstable (wrapped)
 // when the upper-bound chain is unstable at this (ρ, T).
 func (s *System) DelayDistributionBracket(t int) (*DelayBracket, error) {

@@ -130,7 +130,7 @@ func TestAsymptoticUnderestimatesSmallN(t *testing.T) {
 	}
 }
 
-// TestLowerBoundPathsAgree: Theorem 3's scalar shortcut (LowerBound) and
+// TestLowerBoundPathsAgree: Theorem 3's R = ρᴺ·I (LowerBound) and
 // the full matrix-geometric solve of the same lower-bound chain (what
 // DelayDistributionBracket runs for its lower side) give one mean delay.
 // Over a seeded random grid with d ≥ 2 and T ≤ 3 they agree to 1e-8
@@ -344,6 +344,40 @@ func TestStableBoundsPastUnstableT(t *testing.T) {
 	if _, _, err := sys.StableBounds(15); !errors.Is(err, ErrUnstable) { // C(6,4) = 15: stops after T = 4
 		t.Errorf("walk on a T ≤ 4 budget: %v, want ErrUnstable", err)
 	}
+}
+
+// TestStartupWalkPinned pins what lbd serves at startup for (8, 2, .85):
+// the walk's first stable T, its mean-delay bracket, and the p99 bracket
+// of the distributional pair at that T. Each value was computed with the
+// matrix-geometric solver and is held to 1e-12 relative, so a solver
+// change that moves the served numbers beyond rounding fails here.
+func TestStartupWalkPinned(t *testing.T) {
+	sys, err := NewSystem(8, 2, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s = %.17g, want %.17g", name, got, want)
+		}
+	}
+	b, T, err := sys.StableBounds(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if T != 4 {
+		t.Fatalf("walk stopped at T=%d, want 4", T)
+	}
+	near("lower mean delay", b.Lower.MeanDelay, 2.3548642928897667)
+	near("upper mean delay", b.Upper.MeanDelay, 3.478715086654821)
+	br, err := sys.DelayDistributionBracket(T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := br.Quantile(.99)
+	near("lower p99", lo, 8.810816433746368)
+	near("upper p99", hi, 13.29688160168007)
 }
 
 func TestAsymptoticDelayPackageLevel(t *testing.T) {

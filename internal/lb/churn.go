@@ -182,14 +182,20 @@ func (lb *LB) scheduleRetry(j job, now time.Time) {
 		return
 	}
 	d := lb.backoffFor(j.attempts)
-	if d <= 0 || lb.closed.Load() {
+	// Shutdown sets closed under gate before it waits on retryWG, so an
+	// Add made under gate after closed read false precedes that Wait.
+	lb.gate.RLock()
+	later := d > 0 && !lb.closed.Load()
+	if later {
+		lb.retryWG.Add(1)
+	}
+	lb.gate.RUnlock()
+	if !later {
 		// No backoff configured, or shutting down: redeliver inline (the
-		// drain must not wait out backoff timers, and spawning goroutines
-		// after Shutdown's retryWG barrier would race it).
+		// drain must not wait out backoff timers).
 		lb.redispatch(j, false)
 		return
 	}
-	lb.retryWG.Add(1)
 	go func() {
 		defer lb.retryWG.Done()
 		t := time.NewTimer(d)
@@ -224,7 +230,8 @@ func (lb *LB) backoffFor(k int32) time.Duration {
 // original still holds the claim race), whereas a redelivery failure
 // re-enters scheduleRetry until the budget drops the job. The
 // enter bracket against chClosed means a redelivery never sends on a
-// channel Shutdown has closed.
+// channel Shutdown has closed; it closes before scheduleRetry, which
+// opens its own.
 func (lb *LB) redispatch(j job, hedge bool) {
 	if lb.enter(false) != nil {
 		if !hedge {
@@ -232,24 +239,22 @@ func (lb *LB) redispatch(j job, hedge bool) {
 		}
 		return
 	}
-	defer lb.inflight.Done()
 	d := lb.dispatcherAt(time.Now())
 	target, err := lb.admit(d, &j)
 	lb.dispatchers.Put(d)
-	if err != nil {
-		if hedge {
-			return
+	if err == nil {
+		lb.rec.retried.Add(1)
+		if j.trace >= 0 {
+			lb.tr.Enqueued(j.trace, lb.rel(time.Now()))
 		}
+		lb.servers[target].ch <- j
+	}
+	lb.gate.RUnlock()
+	if err != nil && !hedge {
 		// Full queue: try again (consuming budget) — it may drain before
 		// the budget runs out.
 		lb.scheduleRetry(j, time.Now())
-		return
 	}
-	lb.rec.retried.Add(1)
-	if j.trace >= 0 {
-		lb.tr.Enqueued(j.trace, lb.rel(time.Now()))
-	}
-	lb.servers[target].ch <- j
 }
 
 // finalizeDrop resolves a job that leaves the system unserved after

@@ -16,7 +16,7 @@ import (
 // invariant: every job whose Dispatch returned nil is eventually
 // completed — never silently dropped — and every other attempt got a
 // definite refusal (ErrClosed or ErrQueueFull). Run under -race this also
-// exercises the closed-flag/inflight/channel-close handshake.
+// exercises the closed-flag/gate/channel-close handshake.
 func TestGracefulDrainNeverLosesJobs(t *testing.T) {
 	lb, err := New(Config{N: 4, MeanService: 200 * time.Microsecond, QueueCap: 64})
 	if err != nil {

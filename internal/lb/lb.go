@@ -264,7 +264,12 @@ type LB struct {
 	dispatchers sync.Pool // *dispatcher
 	seedCtr     atomic.Uint64
 
-	inflight  sync.WaitGroup // Dispatch calls between closed-check and enqueue
+	// gate orders the sends to server channels against Shutdown. Every
+	// send, and every retryWG.Add, runs under its read side after a check
+	// of closed or chClosed; Shutdown flips each flag under the write
+	// side. Once that Unlock returns, no bracket that saw the old value
+	// is still open and every later one sees the new value.
+	gate      sync.RWMutex
 	srvWG     sync.WaitGroup
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -276,8 +281,8 @@ type LB struct {
 	// plane reads only the per-slot atomics. stopCh is closed when
 	// Shutdown begins: it flushes pending retry backoffs, unblocks a
 	// dispatcher pause, and stops RunChurn. chClosed flips just before
-	// the server channels close; redispatch brackets against it exactly
-	// as submitAt brackets against closed.
+	// the server channels close; redispatch brackets against it in gate
+	// exactly as submitAt brackets against closed.
 	memberMu sync.Mutex
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -550,30 +555,28 @@ func checkWork(work float64) error {
 }
 
 // enter opens the bracket every send to a server channel runs inside:
-// gate check, inflight.Add, gate re-check. Shutdown flips a gate and then
-// waits for inflight, so no send can race past a closed channel. An
-// external submission first waits out a dispatcher pause and stops at
+// the read side of gate, then a check of the flag. Shutdown flips the
+// flag under the write side, so no send can race past a closed channel.
+// An external submission first waits out a dispatcher pause and stops at
 // closed; a redelivery of an already accepted job ignores the pause and
-// runs until chClosed, the later gate. On nil the caller owes
-// inflight.Done.
+// runs until chClosed, the later flag. On nil the caller owes
+// gate.RUnlock, and must not enter again before it: a second read lock
+// would wait behind a pending Shutdown that waits for the first.
 //
 //finitelb:hotpath
 func (lb *LB) enter(external bool) error {
-	gate := &lb.chClosed
+	flag := &lb.chClosed
 	if external {
-		gate = &lb.closed
+		flag = &lb.closed
 		if p := lb.pause.Load(); p != nil {
 			if err := lb.pauseWait(p); err != nil {
 				return err
 			}
 		}
 	}
-	if gate.Load() {
-		return ErrClosed
-	}
-	lb.inflight.Add(1)
-	if gate.Load() {
-		lb.inflight.Done()
+	lb.gate.RLock()
+	if flag.Load() {
+		lb.gate.RUnlock()
 		return ErrClosed
 	}
 	return nil
@@ -604,7 +607,7 @@ func (lb *LB) submitAt(arrival time.Time, work float64, done chan<- Done, counte
 	if err := lb.enter(true); err != nil {
 		return -1, err
 	}
-	defer lb.inflight.Done()
+	defer lb.gate.RUnlock()
 
 	d := lb.dispatcherAt(arrival)
 	j := job{work: work, arrival: arrival, done: done, counted: counted, trace: trace.None}
@@ -708,24 +711,28 @@ type DrainStats struct {
 // servers keep draining in the background and a later Shutdown call
 // observes the progress). Safe to call multiple times.
 func (lb *LB) Shutdown(ctx context.Context) (DrainStats, error) {
+	// External submissions quiesce first: the write side waits out every
+	// open bracket, and later ones observe closed.
+	lb.gate.Lock()
 	lb.closed.Store(true)
+	lb.gate.Unlock()
 	lb.stopOnce.Do(func() { close(lb.stopCh) })
 	// A paused dispatcher would hold submitters (and RunChurn timers)
 	// forever; release them so they observe closed and exit.
 	lb.ResumeDispatch()
-	// External submissions quiesce first, then the retry goroutines —
-	// stopCh made every pending backoff flush its redelivery
-	// immediately, and those sends are synchronous in the goroutines
-	// retryWG tracks.
-	lb.inflight.Wait()
+	// Then the retry goroutines: stopCh made every pending backoff flush
+	// its redelivery immediately, those sends are synchronous in the
+	// goroutines retryWG tracks, and no goroutine is added once closed
+	// is set (scheduleRetry checks it under gate).
 	lb.retryWG.Wait()
 	// The only senders left are server goroutines redelivering jobs off
-	// down servers. Those sends bracket in inflight against chClosed the
-	// way submitAt brackets against closed, so after this second Wait no
-	// send can race the close below; later redeliveries observe chClosed
-	// and finalize as drops instead.
+	// down servers. Those sends bracket in gate against chClosed the way
+	// submitAt brackets against closed, so after this flip no send can
+	// race the close below; later redeliveries observe chClosed and
+	// finalize as drops instead.
+	lb.gate.Lock()
 	lb.chClosed.Store(true)
-	lb.inflight.Wait()
+	lb.gate.Unlock()
 	lb.closeOnce.Do(func() {
 		for _, s := range lb.servers {
 			close(s.ch)

@@ -341,21 +341,6 @@ func (m *Dense) MaxAbs() float64 {
 	return mx
 }
 
-// NormInf returns the maximum absolute row sum of m.
-func (m *Dense) NormInf() float64 {
-	var mx float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for _, v := range m.Row(i) {
-			s += math.Abs(v)
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
 // RowSums returns the vector of row sums.
 func (m *Dense) RowSums() []float64 {
 	s := make([]float64, m.rows)

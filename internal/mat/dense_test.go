@@ -117,9 +117,6 @@ func TestNorms(t *testing.T) {
 	if a.MaxAbs() != 4 {
 		t.Errorf("MaxAbs = %v, want 4", a.MaxAbs())
 	}
-	if a.NormInf() != 7 {
-		t.Errorf("NormInf = %v, want 7", a.NormInf())
-	}
 	rs := a.RowSums()
 	if rs[0] != -1 || rs[1] != 1 {
 		t.Errorf("RowSums = %v, want [-1 1]", rs)
@@ -201,17 +198,6 @@ func TestInverseRandomProperty(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{3, 8}, {4, 6}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-(-14)) > 1e-12 {
-		t.Errorf("Det = %v, want -14", d)
-	}
-}
-
 func TestSolveLeft(t *testing.T) {
 	a := NewDenseFrom([][]float64{{2, 1}, {1, 3}})
 	b := []float64{4, 7}
@@ -245,65 +231,6 @@ func TestSpectralRadius(t *testing.T) {
 	}
 	if math.Abs(sp-0.7) > 1e-9 {
 		t.Errorf("SpectralRadius(0.7·stochastic) = %v, want 0.7", sp)
-	}
-}
-
-func TestGeometricInv(t *testing.T) {
-	r := NewDenseFrom([][]float64{{0.2, 0.1}, {0.05, 0.3}})
-	inv, err := GeometricInv(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare to the truncated Neumann series Σ Rᵏ.
-	sum := Identity(2)
-	pow := Identity(2)
-	for k := 0; k < 200; k++ {
-		pow = pow.Mul(r)
-		sum = sum.Add(pow)
-	}
-	if !inv.AlmostEqual(sum, 1e-10) {
-		t.Errorf("(I−R)⁻¹ ≠ Σ Rᵏ:\n%v\nvs\n%v", inv, sum)
-	}
-}
-
-func TestGeometricVecSums(t *testing.T) {
-	r := NewDenseFrom([][]float64{{0.3, 0.2}, {0.1, 0.25}})
-	x := []float64{1, 2}
-	got, err := GeometricVecSum(x, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Direct series Σ x·Rᵏ.
-	want := make([]float64, 2)
-	cur := append([]float64(nil), x...)
-	for k := 0; k < 300; k++ {
-		for i := range want {
-			want[i] += cur[i]
-		}
-		cur = r.VecMul(cur)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("GeometricVecSum = %v, want %v", got, want)
-		}
-	}
-
-	gotW, err := GeometricWeightedVecSum(x, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantW := make([]float64, 2)
-	cur = append([]float64(nil), x...)
-	for k := 0; k < 300; k++ {
-		for i := range wantW {
-			wantW[i] += float64(k) * cur[i]
-		}
-		cur = r.VecMul(cur)
-	}
-	for i := range wantW {
-		if math.Abs(gotW[i]-wantW[i]) > 1e-9 {
-			t.Fatalf("GeometricWeightedVecSum = %v, want %v", gotW, wantW)
-		}
 	}
 }
 

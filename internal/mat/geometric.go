@@ -47,31 +47,6 @@ func SpectralRadius(a *Dense, tol float64, maxIter int) (float64, error) {
 	return prev, fmt.Errorf("spectral radius estimate %.6g after %d iterations: %w", prev, maxIter, ErrNoConverge)
 }
 
-// GeometricInv returns (I−R)⁻¹ for a matrix with sp(R) < 1.
-func GeometricInv(r *Dense) (*Dense, error) {
-	if r.rows != r.cols {
-		panic("mat: GeometricInv requires a square matrix")
-	}
-	return Inverse(Identity(r.rows).Sub(r))
-}
-
-// GeometricVecSum returns x·(I−R)⁻¹, the sum of the row-vector series
-// Σ_{k≥0} x·Rᵏ, by a left solve rather than an explicit inverse.
-func GeometricVecSum(x []float64, r *Dense) ([]float64, error) {
-	return SolveLeft(Identity(r.rows).Sub(r), x)
-}
-
-// GeometricWeightedVecSum returns x·Σ_{k≥0} k·Rᵏ = x·R·(I−R)⁻², used for
-// level-weighted moments of matrix-geometric stationary distributions.
-func GeometricWeightedVecSum(x []float64, r *Dense) ([]float64, error) {
-	xr := r.VecMul(x) // x·R as a row vector
-	once, err := GeometricVecSum(xr, r)
-	if err != nil {
-		return nil, err
-	}
-	return GeometricVecSum(once, r)
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

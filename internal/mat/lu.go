@@ -5,9 +5,8 @@ import "math"
 // LU holds an LU factorization with partial pivoting of a square matrix:
 // P·A = L·U, stored compactly in lu with the permutation in piv.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign int
+	lu  *Dense
+	piv []int
 }
 
 // Factorize computes the LU factorization of a, leaving a unchanged. It
@@ -25,7 +24,7 @@ func FactorizeInPlace(a *Dense) (*LU, error) {
 		panic("mat: Factorize requires a square matrix")
 	}
 	n := a.rows
-	f := &LU{lu: a, piv: make([]int, n), sign: 1}
+	f := &LU{lu: a, piv: make([]int, n)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -48,7 +47,6 @@ func FactorizeInPlace(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -137,15 +135,6 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 		}
 	}
 	return x
-}
-
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Inverse returns A⁻¹ or ErrSingular.

@@ -89,7 +89,7 @@ func (s *Solution) JoinDistribution() ([]float64, error) {
 	for i, st := range b.B1 {
 		terms1[i] = joinTerms(b.P, lower, st)
 	}
-	piQ := append([]float64(nil), s.Pi1...)
+	piQ := s.Pi1
 	q := 1
 	const residualTol = 1e-13
 	for mat.VecSum(piQ) > residualTol {
@@ -101,23 +101,14 @@ func (s *Solution) JoinDistribution() ([]float64, error) {
 				add(jt.Level+q-1, p*jt.W)
 			}
 		}
-		piQ = s.step(piQ)
+		piQ = s.R.VecMul(piQ)
 		if q++; q > 1<<20 {
 			return nil, fmt.Errorf("qbd: join-distribution block walk did not converge (residual %.3g after %d blocks)", mat.VecSum(piQ), q)
 		}
 	}
 	// Exact geometric residual Σ_{j≥q} π_1·R^{j−1}, folded at shift q−1 so
 	// the distribution stays normalized.
-	var rest []float64
-	if s.R != nil {
-		sum, err := mat.GeometricVecSum(piQ, s.R)
-		if err != nil {
-			return nil, err
-		}
-		rest = sum
-	} else {
-		rest = mat.VecScale(piQ, 1/(1-s.ScalarRatio))
-	}
+	rest := s.geo.Solve(piQ)
 	for i, p := range rest {
 		for _, jt := range terms1[i] {
 			add(jt.Level+q-1, p*jt.W)

@@ -34,6 +34,8 @@ type Blocks struct {
 	Boundary *statespace.Index // states with #m ≤ (N−1)T
 	B0, B1   []statespace.State
 
+	// The boundary blocks. Solve sets them to nil once the boundary
+	// system is solved: nothing else reads them.
 	R00 *mat.Dense // boundary → boundary (with boundary diagonals)
 	R01 *mat.Dense // boundary → B0
 	R10 *mat.Dense // B0 → boundary

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"finitelb/internal/markov"
+	"finitelb/internal/mat"
 	"finitelb/internal/sqd"
 	"finitelb/internal/statespace"
 )
@@ -101,12 +102,60 @@ func TestTotalMassIsOne(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T %+v: %v", tc.model, tc.opts, err)
 		}
-		mass, err := sol.TotalMass()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(mass-1) > 1e-9 {
+		if mass := sol.TotalMass(); math.Abs(mass-1) > 1e-9 {
 			t.Errorf("%T: total mass = %v, want 1", tc.model, mass)
+		}
+	}
+}
+
+// TestHeldFactorSumsMatchSeries: TotalMass and MeanJobs read the one
+// factorization of I−R that Solve keeps; at block 56 they must match the
+// truncated series Σ_q π₁·R^{q−1}, summed level by level, on all three
+// paths: Theorem 3's ρᴺ·I, the solved lower-bound R and the upper bound's.
+func TestHeldFactorSumsMatchSeries(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model BoundModel
+		opts  Options
+	}{
+		{"improved lower", lbModel(6, 2, 0.7, 3), Options{ImprovedLB: true}},
+		{"matrix-geometric lower", lbModel(6, 2, 0.7, 3), Options{}},
+		{"upper", ubModel(6, 2, 0.7, 3), Options{}},
+	} {
+		sol, err := Solve(tc.model, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b := sol.Blocks
+		if b.BlockSize() != 56 {
+			t.Fatalf("%s: block %d, want 56", tc.name, b.BlockSize())
+		}
+		var mass, jobs float64
+		for i, p := range sol.PiBoundary {
+			mass += p
+			jobs += p * float64(b.Boundary.At(i).Total())
+		}
+		for i, p := range sol.Pi0 {
+			mass += p
+			jobs += p * float64(b.B0[i].Total())
+		}
+		// Block q holds its B1 representative's jobs plus (q−1)·N.
+		piQ := sol.Pi1
+		for q := 1; mat.VecSum(piQ) > 1e-18; q++ {
+			if q > 10000 {
+				t.Fatalf("%s: series did not converge", tc.name)
+			}
+			for i, p := range piQ {
+				mass += p
+				jobs += p * float64(b.B1[i].Total()+(q-1)*b.P.N)
+			}
+			piQ = sol.R.VecMul(piQ)
+		}
+		if got := sol.TotalMass(); math.Abs(got-mass) > 1e-12*mass {
+			t.Errorf("%s: TotalMass %.17g, series %.17g", tc.name, got, mass)
+		}
+		if math.Abs(sol.MeanJobs-jobs) > 1e-12*jobs {
+			t.Errorf("%s: MeanJobs %.17g, series %.17g", tc.name, sol.MeanJobs, jobs)
 		}
 	}
 }
@@ -134,7 +183,7 @@ func TestTheorem3GeometricDecay(t *testing.T) {
 	}
 }
 
-// TestImprovedLBMatchesFull: Theorem 3's scalar shortcut must agree with
+// TestImprovedLBMatchesFull: Theorem 3's R = ρᴺ·I must agree with
 // the full matrix-geometric lower bound to solver precision.
 func TestImprovedLBMatchesFull(t *testing.T) {
 	for _, cfg := range []struct {

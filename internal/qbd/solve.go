@@ -15,11 +15,13 @@ type Solution struct {
 
 	PiBoundary []float64 // stationary mass of the boundary states
 	Pi0, Pi1   []float64 // stationary mass of blocks B0 and B1
-	R          *mat.Dense
-	// ScalarRatio is ρᴺ when the improved lower-bound path of Theorem 3
-	// replaced the rate matrix by a scalar multiple of the identity, and 0
-	// otherwise.
-	ScalarRatio float64
+	// R is the rate matrix of Theorem 1, π_{q+1} = π_q·R: the solved one,
+	// or ρᴺ·I on Theorem 3's path.
+	R *mat.Dense
+	// geo is (I−R)ᵀ factorized once by Solve, so that geo.Solve(x) is
+	// x·(I−R)⁻¹ = Σ_{k≥0} x·Rᵏ. Every geometric series of the solution
+	// reads it.
+	geo *mat.LU
 
 	LRIterations int     // logarithmic-reduction iterations used (0 for Theorem 3)
 	DriftUp      float64 // πA0e
@@ -68,25 +70,28 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 	}
 
 	if opts.ImprovedLB {
-		sol.ScalarRatio = math.Pow(b.P.Rho, float64(b.P.N))
+		// A diagonal R: the products and the factorization below skip its
+		// zero entries, so it costs O(m²) next to the boundary solve.
+		sol.R = mat.Identity(b.BlockSize()).Scale(math.Pow(b.P.Rho, float64(b.P.N)))
 	} else {
 		g, iters, err := LogReduction(b.A0, b.A1, b.A2, opts.Tol)
 		if err != nil {
 			return nil, err
 		}
 		sol.LRIterations = iters
-		sol.R, err = RateMatrix(b.A0, b.A1, b.A2, g)
-		if err != nil {
+		if sol.R, err = RateMatrix(b.A0, b.A1, b.A2, g); err != nil {
 			return nil, err
 		}
+	}
+	if sol.geo, err = mat.FactorizeInPlace(mat.Identity(b.BlockSize()).Sub(sol.R).T()); err != nil {
+		return nil, fmt.Errorf("qbd: (I−R) singular — spectral radius ≥ 1: %w", err)
 	}
 
 	if err := sol.solveBoundary(); err != nil {
 		return nil, err
 	}
-	if err := sol.metrics(); err != nil {
-		return nil, err
-	}
+	b.R00, b.R01, b.R10 = nil, nil, nil // see Blocks
+	sol.metrics()
 	return sol, nil
 }
 
@@ -97,14 +102,10 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 //	⎢ R10  A1    A0       ⎥
 //	⎣ 0    A2    A1+R·A2  ⎦
 //
-// whose balance equations have rank deficiency 1; one equation is replaced
-// by the matrix-geometric normalization
-// π_bnd·e + π0·e + π1·(I−R)⁻¹·e = 1.
-//
-// On Theorem 3's path R = ρᴺ·I, so A1 + R·A2 is A1 + ρᴺ·A2 and every tail
-// weight is 1/(1−ρᴺ). The dense product, inverse and matrix-vector product
-// that the R path runs would, on this diagonal R, only add exact zeros to
-// these same terms, so the scalar forms give the same bits.
+// whose balance equations have rank deficiency 1. One equation is
+// replaced by x·e = 1, which fixes the scale; x is then rescaled by the
+// matrix-geometric mass π_bnd·e + π0·e + π1·(I−R)⁻¹·e, so that the levels
+// q ≥ 1 beyond B1 are counted too.
 func (s *Solution) solveBoundary() error {
 	b := s.Blocks
 	nb := b.Boundary.Len()
@@ -131,31 +132,13 @@ func (s *Solution) solveBoundary() error {
 	put(b.A1, nb, nb)
 	put(b.A0, nb, nb+m)
 	put(b.A2, nb+m, nb)
+	put(b.A1.Add(s.R.Mul(b.A2)), nb+m, nb+m)
 
-	// Normalization weights: 1 for boundary and B0 states, (I−R)⁻¹e for B1.
-	w := make([]float64, size)
-	for i := range w {
-		w[i] = 1
+	// Replace the first balance equation (column 0) by x·e = 1.
+	norm := sysT.Row(0)
+	for i := range norm {
+		norm[i] = 1
 	}
-	tw := w[nb+m:]
-	if s.R != nil {
-		put(b.A1.Add(s.R.Mul(b.A2)), nb+m, nb+m)
-		tailWeights, err := mat.GeometricInv(s.R)
-		if err != nil {
-			return fmt.Errorf("qbd: (I−R) singular — spectral radius ≥ 1: %w", err)
-		}
-		copy(tw, tailWeights.MulVec(tw))
-	} else {
-		local := b.A1.Clone()
-		local.AddScaled(b.A2, s.ScalarRatio)
-		put(local, nb+m, nb+m)
-		for i := range tw {
-			tw[i] = 1 / (1 - s.ScalarRatio)
-		}
-	}
-
-	// Replace the first balance equation (column 0) by the normalization.
-	copy(sysT.Row(0), w)
 	rhs := make([]float64, size)
 	rhs[0] = 1
 	f, err := mat.FactorizeInPlace(sysT)
@@ -163,14 +146,15 @@ func (s *Solution) solveBoundary() error {
 		return fmt.Errorf("qbd: boundary system solve: %w", err)
 	}
 	x := f.Solve(rhs)
+	s.PiBoundary = x[:nb]
+	s.Pi0 = x[nb : nb+m]
+	s.Pi1 = x[nb+m:]
+	mat.VecScale(x, 1/s.TotalMass())
 	for _, v := range x {
 		if v < -1e-9 {
 			return fmt.Errorf("qbd: boundary solve produced negative probability %.3g", v)
 		}
 	}
-	s.PiBoundary = x[:nb]
-	s.Pi0 = x[nb : nb+m]
-	s.Pi1 = x[nb+m:]
 	return nil
 }
 
@@ -178,7 +162,7 @@ func (s *Solution) solveBoundary() error {
 // geometric level sums: in non-boundary blocks every server is busy, so a
 // state of block q ≥ 1 holds exactly (q−1)·N more jobs (and waiting jobs)
 // than its pattern-aligned representative in B1.
-func (s *Solution) metrics() error {
+func (s *Solution) metrics() {
 	b := s.Blocks
 	n := float64(b.P.N)
 
@@ -199,62 +183,23 @@ func (s *Solution) metrics() error {
 		jobs1[i] = float64(st.Total())
 		wait1[i] = float64(st.WaitingJobs())
 	}
-	// Σ_{q≥1} π1·R^{q−1}·v  and  Σ_{q≥1} (q−1)·π1·R^{q−1}·(N·e).
-	sum1, err := s.geometricSum(s.Pi1)
-	if err != nil {
-		return err
-	}
-	var weighted []float64
-	if s.R != nil {
-		if weighted, err = mat.GeometricWeightedVecSum(s.Pi1, s.R); err != nil {
-			return err
-		}
-	} else {
-		// π1·R·(I−R)⁻², as the R path's product and two solves compute it.
-		weighted = make([]float64, len(s.Pi1))
-		for i, p := range s.Pi1 {
-			weighted[i] = p * s.ScalarRatio / (1 - s.ScalarRatio) / (1 - s.ScalarRatio)
-		}
-	}
-	s.MeanJobs += mat.Dot(sum1, jobs1) + n*mat.VecSum(weighted)
-	s.MeanWaiting += mat.Dot(sum1, wait1) + n*mat.VecSum(weighted)
+	// Σ_{q≥1} π1·R^{q−1}·v = π1·(I−R)⁻¹·v, and the level shift
+	// Σ_{q≥1} (q−1)·π1·R^{q−1}·(N·e) = N·π1·R·(I−R)⁻²·e.
+	sum1 := s.geo.Solve(s.Pi1)
+	shift := n * mat.VecSum(s.geo.Solve(s.geo.Solve(s.R.VecMul(s.Pi1))))
+	s.MeanJobs += mat.Dot(sum1, jobs1) + shift
+	s.MeanWaiting += mat.Dot(sum1, wait1) + shift
 
 	lamN := b.P.TotalArrivalRate()
 	s.MeanWait = s.MeanWaiting / lamN
 	s.MeanDelay = s.MeanWait + 1
-	return nil
 }
 
 // TotalMass returns the total stationary probability implied by the
-// solution (should be 1); exposed for validation.
-func (s *Solution) TotalMass() (float64, error) {
-	tail, err := s.geometricSum(s.Pi1)
-	if err != nil {
-		return 0, err
-	}
-	return mat.VecSum(s.PiBoundary) + mat.VecSum(s.Pi0) + mat.VecSum(tail), nil
-}
-
-// geometricSum returns x·(I−R)⁻¹ = Σ_{k≥0} x·Rᵏ. On Theorem 3's path it
-// divides by 1−ρᴺ, which is what the LU solve against the diagonal I−R
-// does to each entry.
-func (s *Solution) geometricSum(x []float64) ([]float64, error) {
-	if s.R != nil {
-		return mat.GeometricVecSum(x, s.R)
-	}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = v / (1 - s.ScalarRatio)
-	}
-	return y, nil
-}
-
-// step returns x·R, the next block's stationary mass from this one's.
-func (s *Solution) step(x []float64) []float64 {
-	if s.R != nil {
-		return s.R.VecMul(x)
-	}
-	return mat.VecScale(append([]float64(nil), x...), s.ScalarRatio)
+// solution, π_bnd·e + π0·e + π1·(I−R)⁻¹·e (1 up to rounding); exposed for
+// validation.
+func (s *Solution) TotalMass() float64 {
+	return mat.VecSum(s.PiBoundary) + mat.VecSum(s.Pi0) + mat.VecSum(s.geo.Solve(s.Pi1))
 }
 
 // LevelMass returns π_q·e for q ≥ 1 using the geometric recursion; exposed
@@ -265,7 +210,7 @@ func (s *Solution) LevelMass(q int) float64 {
 	}
 	v := s.Pi1
 	for i := 1; i < q; i++ {
-		v = s.step(v)
+		v = s.R.VecMul(v)
 	}
 	return mat.VecSum(v)
 }

@@ -36,24 +36,14 @@ func (s *Solution) ServerTail(k int) (float64, error) {
 
 	// Blocks q = 1 .. k−1 explicitly (π_q = π_1·R^{q−1}); from q = k on,
 	// every server counts, so the residual mass contributes in full.
-	piQ := append([]float64(nil), s.Pi1...)
+	piQ := s.Pi1
 	for q := 1; q < k; q++ {
 		for i, p := range piQ {
 			tail += p * fracAtLeast(b.B1[i], k-(q-1))
 		}
-		piQ = s.step(piQ)
+		piQ = s.R.VecMul(piQ)
 	}
-	var rest float64
-	if s.R != nil {
-		sum, err := mat.GeometricVecSum(piQ, s.R)
-		if err != nil {
-			return 0, err
-		}
-		rest = mat.VecSum(sum)
-	} else {
-		rest = mat.VecSum(piQ) / (1 - s.ScalarRatio)
-	}
-	tail += rest
+	tail += mat.VecSum(s.geo.Solve(piQ))
 	if tail > 1 {
 		tail = 1
 	}
