@@ -91,9 +91,9 @@
 // Every combination with a classical closed form is pinned to it as a
 // correctness oracle (internal/sim tests):
 //
-//   - default Poisson/exponential/SQ(d): bit-identical to the
-//     pre-workload simulator AND inside the paper's QBD lower/upper delay
-//     bounds on an (N, d, ρ, T) grid;
+//   - default Poisson/exponential/SQ(d): pinned bit for bit (three
+//     spellings of the default wiring give one stream) AND inside the
+//     paper's QBD lower/upper delay bounds on an (N, d, ρ, T) grid;
 //   - M/G/1 (N=1, d=1, any service law): Pollaczek–Khinchine via the
 //     law's E[S²];
 //   - GI/M/1 (N=1, d=1, any arrival process): 1/(1−σ) with σ from
@@ -103,8 +103,10 @@
 //     machinery;
 //   - random at any N: independent M/M/1 queues;
 //   - single-server speed s: M/M/1 with both rates scaled by s;
-//   - LWL at N=1 (any service law): the same M/G/1, exercising the
-//     work-tracking event loop;
+//   - LWL at N=1 (any service law): the same M/G/1; and at N=1 SQ(1),
+//     JSQ, LWL, JIQ and random are one run bit for bit, since each takes
+//     one IntN(1) per arrival and every job's requirement is drawn at
+//     its arrival;
 //   - SQ(d) under erlang:K or hyperexp arrivals: System.LowerBoundGI for
 //     the same spec lies below the simulated delay (root package tests).
 //
@@ -117,7 +119,7 @@
 // pluggability: every built-in law and policy resolves to a concrete
 // sampler or picker that draws from frand and reads the loop's queue
 // mirrors directly, inside the one event loop (see "Simulator
-// performance"), which is held to the pre-workload bit-identity goldens.
+// performance"), which the default-wiring goldens pin bit for bit.
 //
 // # From model to machine
 //
@@ -227,9 +229,14 @@
 // instantiation of the same loop body behind a small adapter, not a
 // second loop; TestTypedLoopMatchesInterfaceLoop pins the concrete
 // samplers and pickers to the adapter instantiation draw for draw, and
-// the pre-workload and churn goldens pin the loop itself. Draws come from internal/frand, a concrete PCG re-derivation of
-// math/rand/v2's exact streams (bit-identity pinned in that package), so
-// the loop pays no rand.Source dispatch.
+// the default-wiring and churn goldens pin the loop itself. The loop has
+// one arrival path and one departure path for every policy: an arrival
+// draws the next interarrival, then the job's requirement, then the
+// pick, and the requirement rides in the server's ring with the arrival
+// stamp, through a crash's redistribution too. Draws come from
+// internal/frand, a concrete PCG re-derivation of math/rand/v2's exact
+// streams (bit-identity pinned in that package), so the loop pays no
+// rand.Source dispatch.
 //
 // The concrete samplers and pickers earn their keep by what sits behind
 // the call — a sampler calls frand directly, and a picker reads the

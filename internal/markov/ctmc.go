@@ -119,10 +119,14 @@ func metrics(p sqd.Params, ix *statespace.Index, pi []float64) Result {
 
 // ExactOptions tunes SolveExact.
 type ExactOptions struct {
-	QueueCap  int     // per-queue truncation K (default: auto from ρ)
-	Tol       float64 // Gauss–Seidel tolerance (default 1e-12)
-	MaxSweeps int     // Gauss–Seidel sweep budget (default 200000)
+	QueueCap int // per-queue truncation K (default: auto from ρ)
 }
+
+// The exact solves' Gauss–Seidel tolerance and sweep budget.
+const (
+	gsTol       = 1e-12
+	gsMaxSweeps = 200000
+)
 
 func (o *ExactOptions) setDefaults(p sqd.Params) {
 	if o.QueueCap <= 0 {
@@ -146,12 +150,6 @@ func (o *ExactOptions) setDefaults(p sqd.Params) {
 		}
 		o.QueueCap = k
 	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxSweeps <= 0 {
-		o.MaxSweeps = 200000
-	}
 }
 
 // SolveExact computes the stationary delay of the exact SQ(d) model on the
@@ -171,7 +169,7 @@ func SolveExact(p sqd.Params, opts ExactOptions) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pi, err := mat.StationaryGS(qt, opts.Tol, opts.MaxSweeps)
+	pi, err := mat.StationaryGS(qt, gsTol, gsMaxSweeps)
 	if err != nil {
 		return Result{}, fmt.Errorf("markov: exact solve N=%d d=%d ρ=%v: %w", p.N, p.D, p.Rho, err)
 	}

@@ -128,7 +128,7 @@ func SolveExactDistribution(p sqd.Params, opts ExactOptions) (Result, *Distribut
 	if err != nil {
 		return Result{}, nil, err
 	}
-	pi, err := mat.StationaryGS(qt, opts.Tol, opts.MaxSweeps)
+	pi, err := mat.StationaryGS(qt, gsTol, gsMaxSweeps)
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -33,11 +33,12 @@ type Solution struct {
 	MeanDelay   float64 // E[sojourn time] = MeanWait + 1
 }
 
+// lrTol is the logarithmic-reduction convergence tolerance on the
+// row-stochasticity of G.
+const lrTol = 1e-12
+
 // Options tunes the matrix-geometric solve.
 type Options struct {
-	// Tol is the logarithmic-reduction convergence tolerance on the
-	// row-stochasticity of G. Default 1e-12.
-	Tol float64
 	// ImprovedLB replaces the rate matrix by ρᴺ·I (Theorem 3). Only valid
 	// for the lower-bound model; Solve rejects it otherwise.
 	ImprovedLB bool
@@ -46,9 +47,6 @@ type Options struct {
 // Solve computes the stationary distribution and delay metrics of a bound
 // model via Theorem 1 (or Theorem 3 when opts.ImprovedLB is set).
 func Solve(model BoundModel, opts Options) (*Solution, error) {
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-12
-	}
 	if opts.ImprovedLB {
 		if _, ok := model.(*sqd.LowerBound); !ok {
 			return nil, fmt.Errorf("qbd: ImprovedLB (Theorem 3) applies only to the lower-bound model, got %T", model)
@@ -74,7 +72,7 @@ func Solve(model BoundModel, opts Options) (*Solution, error) {
 		// zero entries, so it costs O(m²) next to the boundary solve.
 		sol.R = mat.Identity(b.BlockSize()).Scale(math.Pow(b.P.Rho, float64(b.P.N)))
 	} else {
-		g, iters, err := LogReduction(b.A0, b.A1, b.A2, opts.Tol)
+		g, iters, err := LogReduction(b.A0, b.A1, b.A2, lrTol)
 		if err != nil {
 			return nil, err
 		}

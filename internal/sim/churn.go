@@ -116,7 +116,7 @@ func (st *loopState) note(i int) {
 // applyChurn fires the head of the schedule at its model time.
 // Allocation here is fine — churn events are control-plane-rare next to
 // the event loop's per-arrival work.
-func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
+func applyChurn(st *loopState, pk picker) {
 	ev := st.churn[0]
 	st.churn = st.churn[1:]
 	st.nextChurn = math.Inf(1)
@@ -144,24 +144,16 @@ func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
 	if ev.Kind == workload.ChurnLeave && sv.length() > 0 {
 		keep = 1
 	}
-	type orphan struct{ arrived, req float64 }
-	orphans := make([]orphan, 0, sv.length())
+	orphans := make([]job, 0, sv.length())
 	for j := sv.head + keep; j != sv.tail; j++ {
-		idx := j & uint32(len(sv.arrivals)-1)
-		o := orphan{arrived: sv.arrivals[idx]}
-		if sv.work != nil {
-			o.req = sv.work[idx]
-		}
-		orphans = append(orphans, o)
+		orphans = append(orphans, sv.ring[j&uint32(len(sv.ring)-1)])
 	}
 	sv.tail = sv.head + keep
 	sv.pending = 0
 	st.qlen[i] = int32(keep)
 	if keep == 0 {
-		// Crash: in-service progress is lost; a re-executed job draws a
-		// fresh requirement at its new service start (under a work-aware
-		// policy the original requirement travels with the job).
-		sv.completion = math.Inf(1)
+		// Crash: in-service progress is lost; the job restarts from
+		// scratch elsewhere with the requirement it arrived with.
 		st.trk.update(i, math.Inf(1))
 	}
 	st.setLive(st.live.Without(i))
@@ -169,27 +161,19 @@ func applyChurn[S svcSampler](st *loopState, svc S, pk picker) {
 
 	// Redistribute the orphans through the dispatch policy — already the
 	// picker of the smaller farm — at the event instant, arrival stamps
-	// preserved: the lost time surfaces in the measured sojourns, exactly
-	// as live redelivery does.
+	// and requirements preserved: the lost time surfaces in the measured
+	// sojourns, exactly as live redelivery does.
 	st.now = ev.T
 	for _, o := range orphans {
 		best := pk.pick(st)
 		tsv := &st.servers[best]
+		tsv.push(o)
 		l := st.qlen[best] + 1
 		st.qlen[best] = l
-		if st.workAware {
-			tsv.pushWork(o.arrived, o.req)
-			if l == 1 {
-				tsv.completion = ev.T + st.serviceTime(best, o.req)
-				st.trk.update(best, tsv.completion)
-			} else {
-				tsv.pending += o.req
-			}
+		if l == 1 {
+			st.trk.update(best, ev.T+st.serviceTime(best, o.req))
 		} else {
-			tsv.push(o.arrived)
-			if l == 1 {
-				st.trk.update(best, ev.T+st.serviceTime(best, svc.sample(st.fr)))
-			}
+			tsv.pending += o.req
 		}
 		st.note(best)
 		if int(l) > st.maxQueue {

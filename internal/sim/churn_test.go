@@ -183,18 +183,18 @@ func TestChurnSlowRaisesDelay(t *testing.T) {
 // length scan, a work scan and a length-blind cursor over the rank view;
 // the N = 100 rows add the min-index trees.
 //
-// The sqd:2 row and both N = 100 rows are the Results captured at commit
-// 8a2d7fb, before churn moved onto the one typed loop; they survived the
-// move to the rank view untouched (a fresh SQ(d) permutation over the
-// survivors draws what the old survivor list drew, and a tree argmin
-// draws the same descent whether it is reported as an id or a rank). The
-// jsq, rr and lwl rows at N = 10 were re-pinned once, when a degraded
-// farm became the policy's ordinary picker on the alive servers: from
-// the first membership event on, the scans rotate their origin with
-// IntN(alive) over ranks instead of IntN(N) over a masked view, and
-// round-robin's cursor restarts over the survivors instead of probing
-// the successor of a down server. TestChurnCrashMatchesDegradedFarm is
-// the oracle that licenses the re-pin.
+// Re-pins, each licensed by TestChurnCrashMatchesDegradedFarm. The
+// N = 10 jsq, rr and lwl rows moved once when a degraded farm became the
+// policy's ordinary picker on the alive servers: from the first
+// membership event on, the scans rotate their origin with IntN(alive)
+// over ranks instead of IntN(N) over a masked view, and round-robin's
+// cursor restarts over the survivors. The sqd:2, jsq and rr rows moved
+// once more when every policy came to draw each job's requirement at
+// arrival and a crashed job to keep it (each new mean within one
+// combined half-width of the old; the table is in CHANGES.md). LWL
+// always drew at arrival and carried the requirement through a crash, so
+// both lwl rows kept their bits; the N = 100 one is still the Result
+// captured at commit 8a2d7fb, before churn moved onto the typed loop.
 func TestChurnGoldens(t *testing.T) {
 	spec, err := workload.ParseChurn("crash@200,leave@400,slow@600@f=2,restore@2000")
 	if err != nil {
@@ -206,11 +206,11 @@ func TestChurnGoldens(t *testing.T) {
 		jobs   int64
 		want   Result
 	}{
-		{"sqd:2", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 2.01996227448456, MeanWait: 1.01996227448456, HalfWidth: 0.07017650723703793, Jobs: 30000, MaxQueue: 8, P50: 1.4476800818050808, P95: 5.754650636982901, P99: 9.300092397207594}},
-		{"jsq", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.3817365656976963, MeanWait: 0.3817365656976963, HalfWidth: 0.04776709306732452, Jobs: 30000, MaxQueue: 5, P50: 0.9511802764434862, P95: 4.178689443140948, P99: 6.753181100290354}},
-		{"rr", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 67.2246065349557, MeanWait: 66.2246065349557, HalfWidth: 5.443637597566384, Jobs: 30000, MaxQueue: 919, P50: 1.5682572930148795, P95: 685.5131467993142, P99: 1224.376497438467}},
+		{"sqd:2", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 2.0453099806856687, MeanWait: 1.0453099806856687, HalfWidth: 0.07080605005809584, Jobs: 30000, MaxQueue: 8, P50: 1.4769261440637687, P95: 5.870906205406796, P99: 9.487973051696635}},
+		{"jsq", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.3412557783557832, MeanWait: 0.34125577835578325, HalfWidth: 0.04675496662786864, Jobs: 30000, MaxQueue: 5, P50: 0.9138827457526333, P95: 4.0148353330285715, P99: 6.488376430148592}},
+		{"rr", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 69.5328978799657, MeanWait: 68.5328978799657, HalfWidth: 5.905275988463853, Jobs: 30000, MaxQueue: 966, P50: 1.5372026931531988, P95: 699.361897239704, P99: 1353.1498085068074}},
 		{"lwl", sqd.Params{N: 10, D: 2, Rho: 0.6}, 30_000, Result{MeanDelay: 1.2116443516708268, MeanWait: 0.21164435167082685, HalfWidth: 0.029790847993403695, Jobs: 30000, MaxQueue: 8, P50: 0.8780477199413352, P95: 3.4903138713917317, P99: 5.419515033387207}},
-		{"jsq", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.1148603523300884, MeanWait: 0.1148603523300884, HalfWidth: 0.014485475407236006, Jobs: 300000, MaxQueue: 3, P50: 0.7787553520143207, P95: 3.3534522354191125, P99: 5.103896839254332}},
+		{"jsq", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.1104437579201965, MeanWait: 0.11044375792019645, HalfWidth: 0.013548705397148201, Jobs: 300000, MaxQueue: 2, P50: 0.7787553520143207, P95: 3.2870472406583384, P99: 5.103896839254332}},
 		{"lwl", sqd.Params{N: 100, D: 2, Rho: 0.9}, 300_000, Result{MeanDelay: 1.0505534665693943, MeanWait: 0.0505534665693943, HalfWidth: 0.010443046573498876, Jobs: 300000, MaxQueue: 7, P50: 0.7482189202129556, P95: 3.0343189471832916, P99: 4.711478037874681}},
 	} {
 		evs, err := chaos.Resolve(spec, 1, tc.p.N)
@@ -228,5 +228,49 @@ func TestChurnGoldens(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s/N=%d: churn run drifted from the captured golden:\ngot  %#v\nwant %#v", tc.policy, tc.p.N, got, tc.want)
 		}
+	}
+}
+
+// TestCrashKeepsRequirement: a crash re-dispatches the in-service job with
+// the requirement it arrived with, as internal/lb's redelivery does — its
+// progress is lost, its size is not. On a 1×/2× pair with the slow server
+// crashed at T, both of its jobs land on the fast survivor, arrival
+// stamps and requirements intact: the first enters service with tracker
+// key T + req/2, the second waits with its requirement in pending.
+func TestCrashKeepsRequirement(t *testing.T) {
+	const crashAt = 1.0
+	p := sqd.Params{N: 2, D: 2, Rho: 0.5}
+	o := Options{Speeds: []float64{1, 2}, Policy: workload.JSQ{},
+		Churn: churnOf(workload.ChurnEvent{Kind: workload.ChurnCrash, T: crashAt, Server: 0})}
+	o.setDefaults()
+	w, err := resolve(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newLoopState(p, w, 0, newSimStream(o.BatchSize), o.Seed)
+	pk := st.adapterPicker(w.policy)
+	inService, waiting := job{arrival: 0.5, req: 3}, job{arrival: 0.75, req: 1.25}
+	sv := &st.servers[0]
+	sv.push(inService)
+	sv.push(waiting)
+	sv.pending = waiting.req
+	st.qlen[0] = 2
+	st.trk.update(0, inService.arrival+inService.req)
+
+	applyChurn(st, pk)
+
+	if got := st.trk.at(0); !math.IsInf(got, 1) || st.qlen[0] != 0 {
+		t.Errorf("crashed server: key %v, %d jobs; want +Inf and 0", got, st.qlen[0])
+	}
+	if got, want := st.trk.at(1), crashAt+inService.req/2; got != want {
+		t.Errorf("survivor's tracker key %v, want T + req/speed = %v", got, want)
+	}
+	tsv := &st.servers[1]
+	if st.qlen[1] != 2 || tsv.pending != waiting.req {
+		t.Fatalf("survivor holds %d jobs with pending %v, want 2 and %v", st.qlen[1], tsv.pending, waiting.req)
+	}
+	done, next := tsv.pop()
+	if done != inService || next != waiting {
+		t.Errorf("survivor's ring %v, %v; want %v, %v", done, next, inService, waiting)
 	}
 }

@@ -19,7 +19,7 @@ type loopState struct {
 	servers []server
 	// qlen mirrors each server's queue length in a dense array: pickers
 	// and the loop's own length checks read 4-byte entries off a few cache
-	// lines instead of chasing into the 80-byte server structs, which at
+	// lines instead of chasing into the 40-byte server structs, which at
 	// N ≥ 1000 turned every SQ(d) probe into an L2 miss. The loop updates
 	// it next to every push/pop; servers stay authoritative for contents.
 	qlen   []int32
@@ -33,8 +33,7 @@ type loopState struct {
 	res *stats.Stream
 	// tr is the optional flight-recorder adapter (nil = tracing off).
 	// Every hook below sits behind a nil check and consumes no rng
-	// draws, so trace-off runs are bit-identical to pre-trace goldens
-	// and trace-on runs stay seed-deterministic.
+	// draws, so trace-on runs are bit-identical to trace-off runs.
 	tr *simTracer
 
 	// Hierarchical min-indexes (nil below minindex.Threshold, or when the
@@ -50,7 +49,6 @@ type loopState struct {
 	measured    int64
 	now         float64 // current arrival instant, read by work-aware picks
 	maxQueue    int
-	workAware   bool
 	// unit marks a homogeneous unit-speed fleet with no slow factor in
 	// force: x/1.0 ≡ x in IEEE arithmetic, so the loop skips serviceTime —
 	// a dependent FDIV feeding the tracker key — without changing a bit.
@@ -106,12 +104,11 @@ func (st *loopState) workAt(i int) float64 {
 	if st.qlen[i] == 0 {
 		return 0
 	}
-	s := &st.servers[i]
-	rem := s.completion - st.now
+	rem := st.trk.at(i) - st.now
 	if rem < 0 {
 		rem = 0
 	}
-	return s.pending/st.speeds[i] + rem
+	return st.servers[i].pending/st.speeds[i] + rem
 }
 
 // isDown reports whether server i is out of the farm.
@@ -146,8 +143,7 @@ func (st *loopState) noteWork(i int) {
 		st.workTree.Update(i, 0)
 		return
 	}
-	s := &st.servers[i]
-	st.workTree.Update(i, s.pending/st.speeds[i]+s.completion)
+	st.workTree.Update(i, st.servers[i].pending/st.speeds[i]+st.trk.at(i))
 }
 
 // typedRunner binds one stenciled loop instantiation to its state.
@@ -175,20 +171,21 @@ func newTypedRunner(p sqd.Params, w wiring, warmup int64, res *stats.Stream, see
 
 // newLoopState allocates the per-stream state for a wiring: servers,
 // tracker, the min-index the policy dispatches on, and — for churn runs —
-// the failure-domain state.
+// the failure-domain state. The initial rings are slices of one slab:
+// one allocation instead of N at set-up.
 func newLoopState(p sqd.Params, w wiring, warmup int64, res *stats.Stream, seed uint64) *loopState {
 	st := &loopState{
 		speeds:    w.speeds,
 		fr:        frand.New(seed, 0x5bd1e995),
 		res:       res,
 		warmup:    warmup,
-		workAware: w.workAware,
 		nextChurn: math.Inf(1),
 	}
 	st.std = rand.New(st.fr)
 	st.servers = make([]server, p.N)
+	slab := make([]job, p.N*serverRingInit)
 	for i := range st.servers {
-		st.servers[i].init(st.workAware)
+		st.servers[i].ring = slab[i*serverRingInit : (i+1)*serverRingInit : (i+1)*serverRingInit]
 	}
 	st.qlen = make([]int32, p.N)
 	st.trk = newTourTracker(p.N)
@@ -293,15 +290,13 @@ func bindLoop[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 // completion — with churn ahead of an arrival ahead of a completion at
 // equal instants.
 //
-// Under a work-aware policy (LWL) each job's service requirement is drawn
-// at *arrival* instead of at service start — the dispatcher must know the
-// work it is about to place. The draw *sequence* therefore differs from
-// the non-work-aware arm, but each job's requirement is the same i.i.d.
-// law, so all configurations remain distributionally identical.
+// An arrival draws the next interarrival, then the job's service
+// requirement, then the pick: every policy sees the work it is placing
+// (LWL reads it, the others ignore it), and the requirement travels with
+// the job in its server's ring until it completes, as in internal/lb.
 //
-// The default wiring is pinned against the captured pre-workload goldens
-// by TestDefaultWorkloadBitIdentical, churn runs by TestChurnGoldens, and
-// the concrete samplers and pickers against the workload interfaces by
+// Churn runs are pinned by TestChurnGoldens, and the concrete samplers
+// and pickers against the workload interfaces by
 // TestTypedLoopMatchesInterfaceLoop.
 //
 //finitelb:hotpath
@@ -311,7 +306,6 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 	fr := st.fr
 	trk := st.trk
 	res := st.res
-	workAware := st.workAware
 	unit := st.unit
 	lenTree, workTree := st.lenTree, st.workTree
 	tr := st.tr
@@ -334,7 +328,7 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 			// Membership changes are control-plane-rare: the hook works on
 			// st, and the loop re-reads what it may have changed.
 			st.maxQueue = maxQ
-			applyChurn(st, svc, pk)
+			applyChurn(st, pk)
 			nextChurn, maxQ, unit = st.nextChurn, st.maxQueue, st.unit
 			minC, minI = trk.min()
 			continue
@@ -342,100 +336,57 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 		if nextArrival <= minC {
 			now := nextArrival
 			nextArrival = now + arr.next(fr)
-			var best int
-			if workAware {
-				// Work-aware dispatch: the requirement is drawn at arrival
-				// so the picker can see the work it is placing.
-				st.now = now
-				req := svc.sample(fr)
-				best = pk.pick(st)
-				sv := &servers[best]
-				sv.pushWork(now, req)
-				l := qlen[best] + 1
-				qlen[best] = l
-				if l == 1 {
-					x := req
-					if !unit {
-						x = st.serviceTime(best, x)
-					}
-					sv.completion = now + x
-					trk.update(best, sv.completion)
-					minC, minI = trk.min()
-				} else {
-					sv.pending += req
+			req := svc.sample(fr)
+			st.now = now
+			best := pk.pick(st)
+			sv := &servers[best]
+			sv.push(job{now, req})
+			l := qlen[best] + 1
+			qlen[best] = l
+			if l == 1 {
+				x := req
+				if !unit {
+					x = st.serviceTime(best, x)
 				}
-				if workTree != nil {
-					st.noteWork(best)
-				}
-				if int(l) > maxQ {
-					maxQ = int(l)
-				}
-				if tr != nil {
-					tr.onArrival(now, best, int(l-1), lastTies(pk))
-				}
+				trk.update(best, now+x)
+				minC, minI = trk.min()
 			} else {
-				// The tracker is authoritative for completion times on this
-				// path (server.completion is neither read nor written): the
-				// departure below reuses the root's key as `now`, so the
-				// server line is only touched for the ring push/pop.
-				best = pk.pick(st)
-				servers[best].push(now)
-				l := qlen[best] + 1
-				qlen[best] = l
-				if l == 1 {
-					x := svc.sample(fr)
-					if !unit {
-						x = st.serviceTime(best, x)
-					}
-					trk.update(best, now+x)
-					minC, minI = trk.min()
-				}
-				if lenTree != nil {
-					lenTree.Update(best, float64(l))
-				}
-				if int(l) > maxQ {
-					maxQ = int(l)
-				}
-				if tr != nil {
-					tr.onArrival(now, best, int(l-1), lastTies(pk))
-				}
+				sv.pending += req
+			}
+			if lenTree != nil {
+				lenTree.Update(best, float64(l))
+			}
+			if workTree != nil {
+				st.noteWork(best)
+			}
+			if int(l) > maxQ {
+				maxQ = int(l)
+			}
+			if tr != nil {
+				tr.onArrival(now, best, int(l-1), lastTies(pk))
 			}
 			continue
 		}
 		sv := &servers[minI]
 		now := minC
-		arrivedAt := sv.pop()
+		done, next := sv.pop()
 		l := qlen[minI] - 1
 		qlen[minI] = l
-		if workAware {
-			if l > 0 {
-				req := sv.workFront()
-				sv.pending -= req
-				x := req
-				if !unit {
-					x = st.serviceTime(minI, x)
-				}
-				sv.completion = now + x
-			} else {
-				sv.completion = math.Inf(1)
+		c := math.Inf(1)
+		if l > 0 {
+			sv.pending -= next.req
+			x := next.req
+			if !unit {
+				x = st.serviceTime(minI, x)
 			}
-			trk.update(minI, sv.completion)
-			if workTree != nil {
-				st.noteWork(minI)
-			}
-		} else {
-			if l > 0 {
-				x := svc.sample(fr)
-				if !unit {
-					x = st.serviceTime(minI, x)
-				}
-				trk.update(minI, now+x)
-			} else {
-				trk.update(minI, math.Inf(1))
-			}
-			if lenTree != nil {
-				st.noteLen(minI, l)
-			}
+			c = now + x
+		}
+		trk.update(minI, c)
+		if lenTree != nil {
+			st.noteLen(minI, l)
+		}
+		if workTree != nil {
+			st.noteWork(minI)
 		}
 		if tr != nil {
 			tr.onDeparture(now, minI)
@@ -443,7 +394,7 @@ func runTyped[A arrSampler, S svcSampler](st *loopState, arr A, svc S, pk picker
 		minC, minI = trk.min()
 		departed++
 		if departed > st.warmup {
-			st.buf[st.bufn] = now - arrivedAt
+			st.buf[st.bufn] = now - done.arrival
 			st.bufn++
 			if st.bufn == len(st.buf) {
 				res.AddBatch(st.buf[:])

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -168,6 +169,7 @@ func TestPickersMatchWorkload(t *testing.T) {
 			servers: make([]server, n),
 			speeds:  make([]float64, n),
 			fr:      frand.New(3, 9),
+			trk:     newTourTracker(n),
 		}
 		for i := range st.speeds {
 			st.speeds[i] = 1 + float64(i%2)
@@ -210,9 +212,10 @@ func TestPickersMatchWorkload(t *testing.T) {
 				sv := &st.servers[i]
 				sv.head, sv.tail = 0, uint32(l)
 				if l == 0 {
-					sv.completion, sv.pending = 0, 0
+					st.trk.update(i, math.Inf(1))
+					sv.pending = 0
 				} else {
-					sv.completion = st.now + stateRng.Float64()*2
+					st.trk.update(i, st.now+stateRng.Float64()*2)
 					sv.pending = stateRng.Float64() * float64(l)
 				}
 			}

@@ -8,9 +8,11 @@
 // laws, per-server speeds, and dispatch policies plug in through the
 // interfaces of internal/workload. The default configuration — Poisson
 // arrivals, exponential unit-rate homogeneous servers, SQ(d) — is the
-// paper's system and stays bit-identical to the pre-workload simulator;
-// every other configuration is validated against classical queueing
-// oracles where one exists (see workload_test.go).
+// paper's system; every other configuration is validated against
+// classical queueing oracles where one exists (see workload_test.go).
+// Under every policy a job's service requirement is drawn at its arrival
+// and travels with it, as in the live farm (internal/lb): requirements
+// are i.i.d., so the moment of the draw does not change the law.
 package sim
 
 import (
@@ -79,17 +81,18 @@ type Options struct {
 	// crash loses the in-service job's progress and redistributes the
 	// whole queue through the dispatch policy at the event instant
 	// (arrival stamps preserved, so lost time shows up in the sojourns;
-	// a re-executed job draws a fresh requirement); leave lets the
-	// in-service job complete and redistributes only the waiting jobs;
-	// slow multiplies service durations starting after the event. While
-	// servers are down every policy is its ordinary picker on the alive
-	// servers (workload.Live, the same rule as internal/lb; round-robin's
-	// cursor and SQ(d)'s permutation restart at each membership change),
-	// so a crash of k of N at fixed offered load reproduces the
-	// (N−k, ρ·N/(N−k)) system. The schedule is a third event source of
-	// the event loop, ahead of arrivals and completions at equal
-	// instants; until its first event fires a run is bit-identical to the
-	// churn-free one. Churn cannot be combined with Trace.
+	// a re-executed job keeps its requirement, as internal/lb redelivers
+	// it); leave lets the in-service job complete and redistributes only
+	// the waiting jobs; slow multiplies service durations starting after
+	// the event. While servers are down every policy is its ordinary
+	// picker on the alive servers (workload.Live, the same rule as
+	// internal/lb; round-robin's cursor and SQ(d)'s permutation restart
+	// at each membership change), so a crash of k of N at fixed offered
+	// load reproduces the (N−k, ρ·N/(N−k)) system. The schedule is a
+	// third event source of the event loop, ahead of arrivals and
+	// completions at equal instants; until its first event fires a run is
+	// bit-identical to the churn-free one. Churn cannot be combined with
+	// Trace.
 	Churn *workload.Churn
 }
 
@@ -134,10 +137,6 @@ type wiring struct {
 	policy  workload.Policy
 	speeds  []float64 // always length N
 	rate    float64   // aggregate arrival rate ρ·Σspeeds
-	// workAware marks policies that dispatch on outstanding work (LWL):
-	// the event loop then draws each job's requirement at arrival and
-	// exposes per-server work through the workload.WorkQueues view.
-	workAware bool
 	// churn is the validated schedule (nil for churn-free runs).
 	churn []workload.ChurnEvent
 }
@@ -181,7 +180,6 @@ func resolve(p sqd.Params, o Options) (wiring, error) {
 	if _, err := w.policy.NewPicker(p.N); err != nil {
 		return wiring{}, err
 	}
-	_, w.workAware = w.policy.(workload.WorkAware)
 	evs, err := validateChurn(o.Churn, p.N)
 	if err != nil {
 		return wiring{}, err
@@ -210,86 +208,62 @@ func (r Result) String() string {
 	return fmt.Sprintf("delay %.4f ± %.4f (%d jobs, max queue %d)", r.MeanDelay, r.HalfWidth, r.Jobs, r.MaxQueue)
 }
 
-// server is one FIFO queue: arrival stamps of queued jobs plus the
-// absolute completion time of the in-service job. Under a work-aware
-// policy (LWL) it additionally carries each queued job's service
-// requirement, drawn at arrival, and the total not-yet-started work.
+// job is one queued job: its arrival stamp and its service requirement,
+// drawn at arrival and carried with the job until it completes — through
+// a crash's redistribution too, as in internal/lb.
+type job struct{ arrival, req float64 }
+
+// server is one FIFO queue of jobs plus the total requirement of the
+// queued jobs not yet in service. The in-service job's completion time
+// lives only in the tracker (tourTracker.at).
 //
 // The queue is a power-of-two ring buffer indexed by free-running
 // head/tail counters: push and pop are a masked store/load each, with no
 // append machinery and no compaction copies on the hot path (the old
 // slice queue's occasional memmove plus its per-pop compaction check were
 // ~5% of event time). Memory stays bounded at the high-water queue length
-// rounded up to a power of two; grow doubles both rings together so the
-// work alignment is preserved.
+// rounded up to a power of two.
 type server struct {
-	arrivals   []float64 // ring, len a power of two; head slot is in service
-	work       []float64 // ring aligned with arrivals (work-aware runs only)
-	head, tail uint32    // free-running; index = counter & (len−1)
-	completion float64   // +Inf when idle
-	pending    float64   // Σ requirements of queued jobs not yet in service
+	ring       []job  // len a power of two; head slot is in service
+	head, tail uint32 // free-running; index = counter & (len−1)
+	pending    float64
 }
 
 // serverRingInit is the initial ring capacity (must be a power of two);
-// queues deeper than this double in place.
-const serverRingInit = 16
-
-func (s *server) init(workAware bool) {
-	s.completion = math.Inf(1)
-	s.arrivals = make([]float64, serverRingInit)
-	if workAware {
-		s.work = make([]float64, serverRingInit)
-	}
-}
+// queues deeper than this double in place. Eight 16-byte slots keep the
+// rings small enough to share a core's L2 with the tracker and the server
+// array at N = 10⁴; sixteen read about 10 % slower per job there
+// (BenchmarkSimJobs/fast/N=10000).
+const serverRingInit = 8
 
 func (s *server) length() int { return int(s.tail - s.head) }
 
-func (s *server) push(t float64) {
-	if int(s.tail-s.head) == len(s.arrivals) {
+func (s *server) push(j job) {
+	if int(s.tail-s.head) == len(s.ring) {
 		s.grow()
 	}
-	s.arrivals[s.tail&uint32(len(s.arrivals)-1)] = t
+	s.ring[s.tail&uint32(len(s.ring)-1)] = j
 	s.tail++
 }
 
-// pushWork appends an arrival stamp together with the job's requirement.
-func (s *server) pushWork(t, req float64) {
-	if int(s.tail-s.head) == len(s.arrivals) {
-		s.grow()
-	}
-	i := s.tail & uint32(len(s.arrivals)-1)
-	s.arrivals[i] = t
-	s.work[i] = req
-	s.tail++
-}
-
-func (s *server) pop() float64 {
-	v := s.arrivals[s.head&uint32(len(s.arrivals)-1)]
-	s.head++
-	return v
-}
-
-// workFront returns the requirement of the job at the head of the queue —
-// after a pop, the job now entering service.
-func (s *server) workFront() float64 {
-	return s.work[s.head&uint32(len(s.work)-1)]
+// pop removes the head job and returns the job now at the head — the one
+// entering service, meaningful only while the queue is not empty.
+func (s *server) pop() (done, next job) {
+	mask := uint32(len(s.ring) - 1)
+	h := s.head
+	done, next = s.ring[h&mask], s.ring[(h+1)&mask]
+	s.head = h + 1
+	return done, next
 }
 
 func (s *server) grow() {
-	oldMask := uint32(len(s.arrivals) - 1)
-	na := make([]float64, 2*len(s.arrivals))
-	newMask := uint32(len(na) - 1)
+	oldMask := uint32(len(s.ring) - 1)
+	nr := make([]job, 2*len(s.ring))
+	newMask := uint32(len(nr) - 1)
 	for j := s.head; j != s.tail; j++ {
-		na[j&newMask] = s.arrivals[j&oldMask]
+		nr[j&newMask] = s.ring[j&oldMask]
 	}
-	s.arrivals = na
-	if s.work != nil {
-		nw := make([]float64, len(na))
-		for j := s.head; j != s.tail; j++ {
-			nw[j&newMask] = s.work[j&oldMask]
-		}
-		s.work = nw
-	}
+	s.ring = nr
 }
 
 // result converts a merged measurement stream into the public Result.
@@ -309,10 +283,10 @@ func result(s *stats.Stream) Result {
 // Run simulates a dispatched server farm: arrivals from opts.Arrival (at
 // aggregate rate ρ·Σspeeds) hit a central dispatcher that routes each job
 // via opts.Policy; servers serve FIFO, drawing unit-mean requirements from
-// opts.Service scaled by their speed factor. The zero-value options
-// reproduce the paper's system — Poisson arrivals of rate ρN, SQ(d)
-// sampling d distinct servers uniformly and joining the shortest (ties
-// uniform), exponential unit-rate homogeneous servers — draw for draw.
+// opts.Service scaled by their speed factor. The zero-value options are
+// the paper's system — Poisson arrivals of rate ρN, SQ(d) sampling d
+// distinct servers uniformly and joining the shortest (ties uniform),
+// exponential unit-rate homogeneous servers.
 // The first Warmup departures are discarded, then the sojourn times of
 // Jobs departures are averaged.
 //

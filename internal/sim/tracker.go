@@ -95,6 +95,14 @@ func (k *tourTracker) min() (float64, int) {
 	return math.Float64frombits(k.nodes[rootSlot].tb), int(k.nodes[rootSlot].id)
 }
 
+// at returns server id's completion time, +Inf when it is idle: the
+// tracker is the one record of when each in-service job finishes.
+//
+//finitelb:hotpath
+func (k *tourTracker) at(id int) float64 {
+	return math.Float64frombits(k.nodes[k.leafBase+id].tb)
+}
+
 // update sets server id's pending completion time and repairs the fixed
 // leaf→root path, stopping as soon as an ancestor's (key, id) winner is
 // unchanged. t must be nonnegative (it is an absolute event time) or +Inf;

@@ -9,38 +9,28 @@ import (
 	"finitelb/internal/workload"
 )
 
-// TestDefaultWorkloadBitIdentical pins the refactor's anchor: the default
-// workload (Poisson arrivals, exponential service, SQ(d), unit speeds,
-// R = 1) must reproduce the pre-workload simulator bit for bit. The
-// expected Results were captured from the serial simulator at commit
-// 0e55776, immediately before the event loop was rewired through
-// internal/workload.
+// TestDefaultWiringSpellingsPinned pins the paper's wiring (Poisson
+// arrivals, exponential service, SQ(d), unit speeds, R = 1) bit for bit,
+// reached three ways: everything defaulted, the default pieces spelled out
+// explicitly, and an explicit all-ones speed vector, which must take the
+// unit-speed shortcut's bits through the division-by-speed arm.
 //
-// One documented re-pin: the P50/P95/P99 triples were captured on the
-// fixed-width histogram that commit estimated quantiles with (0.02
-// resolution); when the histogram was deleted they were re-pinned, once,
-// to the quantile sketch's estimates of the same sojourn stream — each
-// within α = 1% + one bin of the histogram value it replaced (N=4: 1.3557
-// → 1.3634, 5.2984 → 5.3122, 7.8667 → 7.9250; N=1: 3.4063 → 3.4212,
-// 14.604 → 14.732, 21.78 → 21.978; N=32: 1.7707 → 1.7682, 5.5867 →
-// 5.6407, 7.9371 → 7.9250). MeanDelay, MeanWait, HalfWidth, Jobs and
-// MaxQueue are the commit-0e55776 values, untouched: the draws have not
-// moved.
-func TestDefaultWorkloadBitIdentical(t *testing.T) {
+// The Results were captured when every job's requirement moved to being
+// drawn at arrival (before, SQ(d) drew it at service start). That changes
+// the draw sequence, not the law: the new means lie within one combined
+// 95% half-width of the old pins (N=4: 1.8505 → 1.8632; N=1: 4.8272 →
+// 4.9611, M/M/1's 1/(1−ρ) = 5; N=32: 2.1812 → 2.0772).
+func TestDefaultWiringSpellingsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		p    sqd.Params
 		jobs int64
 		seed uint64
 		want Result
 	}{
-		{sqd.Params{N: 4, D: 2, Rho: 0.7}, 30000, 9, Result{MeanDelay: 1.850486885419509, MeanWait: 0.8504868854195089, HalfWidth: 0.07657645044379735, Jobs: 30000, MaxQueue: 9, P50: 1.3633710301119657, P95: 5.312197904013204, P99: 7.924973703917026}},
-		{sqd.Params{N: 1, D: 1, Rho: 0.8}, 30000, 3, Result{MeanDelay: 4.827190951294011, MeanWait: 3.8271909512940114, HalfWidth: 0.39756853579283563, Jobs: 30000, MaxQueue: 34, P50: 3.421198745225559, P95: 14.732260330942466, P99: 21.978242872648963}},
-		{sqd.Params{N: 32, D: 3, Rho: 0.9}, 30000, 5, Result{MeanDelay: 2.1811708885589995, MeanWait: 1.1811708885589995, HalfWidth: 0.06962070271109749, Jobs: 30000, MaxQueue: 7, P50: 1.7682122335998576, P95: 5.640697159022844, P99: 7.924973703917026}},
+		{sqd.Params{N: 4, D: 2, Rho: 0.7}, 30000, 9, Result{MeanDelay: 1.863174801113485, MeanWait: 0.863174801113485, HalfWidth: 0.0800485237970288, Jobs: 30000, MaxQueue: 11, P50: 1.3909138792051368, P95: 5.312197904013204, P99: 7.768043531562235}},
+		{sqd.Params{N: 1, D: 1, Rho: 0.8}, 30000, 3, Result{MeanDelay: 4.961067913562933, MeanWait: 3.9610679135629328, HalfWidth: 0.3450637934191475, Jobs: 30000, MaxQueue: 28, P50: 3.5608252627329775, P95: 14.732260330942466, P99: 21.116435486210428}},
+		{sqd.Params{N: 32, D: 3, Rho: 0.9}, 30000, 5, Result{MeanDelay: 2.0771784276029304, MeanWait: 1.0771784276029304, HalfWidth: 0.05463245203725648, Jobs: 30000, MaxQueue: 6, P50: 1.665236238778482, P95: 5.312197904013204, P99: 7.4634442361377795}},
 	} {
-		// Three routes to the same bits: everything defaulted, the default
-		// pieces spelled out explicitly, and an explicit all-ones speed
-		// vector, which keeps the division-by-speed arm on the golden
-		// trajectory.
 		explicit := Options{
 			Jobs: tc.jobs, Seed: tc.seed,
 			Arrival: workload.Poisson{},
@@ -62,7 +52,7 @@ func TestDefaultWorkloadBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != tc.want {
-				t.Errorf("N=%d d=%d seed=%d (%s): result drifted from pre-workload simulator:\ngot  %#v\nwant %#v",
+				t.Errorf("N=%d d=%d seed=%d (%s): result drifted from the pinned stream:\ngot  %#v\nwant %#v",
 					tc.p.N, tc.p.D, tc.seed, name, got, tc.want)
 			}
 		}
@@ -163,11 +153,10 @@ func TestPolicyOrdering(t *testing.T) {
 }
 
 // TestLWLSingleServerMG1: at N = 1 every non-idling policy is the same
-// M/G/1 queue, so LWL — which exercises the work-tracking event loop, with
-// requirements drawn at arrival instead of service start — must still
-// reproduce Pollaczek–Khinchine for each service law. This pins the
-// work-aware bookkeeping (pending sums, in-service remainders) to an
-// analytic oracle.
+// M/G/1 queue, so LWL — which reads the backlog bookkeeping (pending sums,
+// in-service remainders off the tracker) — must still reproduce
+// Pollaczek–Khinchine for each service law. This pins that bookkeeping
+// to an analytic oracle.
 func TestLWLSingleServerMG1(t *testing.T) {
 	const rho = 0.7
 	pareto, err := workload.NewBoundedPareto(2.5, 100)
@@ -187,6 +176,39 @@ func TestLWLSingleServerMG1(t *testing.T) {
 		want := 1 + rho*svc.Moment2()/(2*(1-rho))
 		if math.Abs(res.MeanDelay-want) > 5*res.HalfWidth+0.02*want {
 			t.Errorf("LWL M/G/1 %s: delay %v, want %v (CI ±%v)", svc, res.MeanDelay, want, res.HalfWidth)
+		}
+	}
+}
+
+// TestSingleServerPoliciesBitIdentical: at N = 1, SQ(1), JSQ, LWL, JIQ
+// and random each take one IntN(1) draw per arrival and all route to the
+// one server. With the requirement drawn at arrival under every policy,
+// they consume the same draws in the same order, so their Results must be
+// equal bit for bit — and the shared mean must be M/M/1's 1/(1−ρ). A
+// policy that drew its requirement at service start would sit on another
+// trajectory and break the equality.
+func TestSingleServerPoliciesBitIdentical(t *testing.T) {
+	const rho = 0.8
+	p := sqd.Params{N: 1, D: 1, Rho: rho}
+	var first Result
+	for k, spec := range []string{"lwl", "sqd:1", "jsq", "jiq", "random"} {
+		pol, err := workload.ParsePolicy(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(p, Options{Jobs: 50_000, Seed: 7, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			first = got
+			if want := 1 / (1 - rho); math.Abs(got.MeanDelay-want) > 3*got.HalfWidth {
+				t.Errorf("%s: M/M/1 delay %v ± %v, want %v", spec, got.MeanDelay, got.HalfWidth, want)
+			}
+			continue
+		}
+		if got != first {
+			t.Errorf("%s at N=1 is not lwl's run:\ngot  %#v\nlwl  %#v", spec, got, first)
 		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 
 // SQD is the paper's power-of-d policy: sample D distinct servers
 // uniformly without replacement and join the shortest, ties broken
-// uniformly. Its picker reproduces the pre-workload simulator's partial
-// Fisher–Yates draw sequence exactly, which is what keeps the default
-// configuration bit-identical.
+// uniformly. Its picker draws a partial Fisher–Yates over a persistent
+// permutation; the simulator's concrete SQ(d) picker re-derives that
+// order draw for draw, and the default wiring's pinned stream rests on
+// it.
 type SQD struct {
 	D int // choices per arrival, 1 ≤ D ≤ N
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Exponential is the default unit-mean service law — the only one the QBD
-// bounds cover. Sample is exactly one ExpFloat64 draw, preserving the
-// simulator's pre-workload draw sequence bit for bit.
+// bounds cover. Sample is exactly one ExpFloat64 draw, which the
+// simulator's concrete exponential sampler re-derives draw for draw.
 type Exponential struct{}
 
 // Sample implements Service.

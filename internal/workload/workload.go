@@ -4,13 +4,12 @@
 // draws from. The analytic side of the repository (the QBD bounds) covers
 // exactly one configuration — Poisson arrivals, exponential unit-rate
 // homogeneous servers, SQ(d) dispatch — and that configuration is this
-// package's default, reproduced draw-for-draw so the simulator stays
-// bit-identical to its pre-workload behaviour. Every other combination
-// opens a scenario the paper's bounds cannot reach; where a classical
-// queueing formula exists (Pollaczek–Khinchine for M/G/1, the σ-root of
-// Theorem 2 for GI/M/1) the tests in internal/sim use it as a correctness
-// oracle, and the remaining combinations are validated by ordering
-// properties (JSQ ≤ SQ(2) ≤ random at equal load).
+// package's default. Every other combination opens a scenario the
+// paper's bounds cannot reach; where a classical queueing formula exists
+// (Pollaczek–Khinchine for M/G/1, the σ-root of Theorem 2 for GI/M/1) the
+// tests in internal/sim use it as a correctness oracle, and the remaining
+// combinations are validated by ordering properties (JSQ ≤ SQ(2) ≤ random
+// at equal load).
 //
 // Configurations are plain values safe to share across goroutines; any
 // per-stream mutable state (an SQ(d) sampling permutation, a round-robin
@@ -110,10 +109,11 @@ type ArgminWorkQueues interface {
 	ArgminWork(rng *rand.Rand) (i int, ok bool)
 }
 
-// WorkAware marks policies whose pickers require a WorkQueues view. Hosts
-// (the simulator event loop, the live runtime) check for it when wiring a
-// policy and switch on per-job work tracking — each job's service
-// requirement is then drawn at arrival so the dispatcher can see it.
+// WorkAware marks policies whose pickers require a WorkQueues view. The
+// live runtime checks for it when wiring a policy and switches on its
+// per-server work table; the simulator keeps every server's backlog
+// regardless, since it draws each job's requirement at arrival under
+// every policy.
 type WorkAware interface {
 	Policy
 	// NeedsWork is a marker; it is never called.
